@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotConnected, SomePairUnreachable, UnknownNode
 from .network import Edge, Network, UndirectedView, as_symmetric
-from .routing import Chain, multiplicative_search
+from .routing import Chain, _reconstruct, multiplicative_search
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     best_value = 2.0  # above any attainable efficiency
     best_pair: tuple[str, str] | None = None
     for source in nodes:
-        weight, _, _ = multiplicative_search(net, source)
+        weight, pred, _ = multiplicative_search(net, source)
         for target in nodes:
             if target == source:
                 continue
@@ -183,14 +183,11 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
             if weight[target] < best_value:
                 best_value = weight[target]
                 best_pair = (source, target)
+                best_pred = pred
     assert best_pair is not None
-    source, target = best_pair
-    weight, pred, _ = multiplicative_search(net, source, target=target)
-    chain_nodes = [target]
-    while chain_nodes[-1] != source:
-        chain_nodes.append(pred[chain_nodes[-1]])
-    chain_nodes.reverse()
-    witness = Chain(tuple(chain_nodes), weight[target])
+    # A settled node's weight and predecessor never change, so this full
+    # sweep's chain is the one a search stopping at the target would find.
+    witness = Chain(_reconstruct(best_pred, *best_pair), best_value)
     return GuaranteedLevel(
         value=best_value,
         method="all-pairs",

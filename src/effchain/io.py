@@ -4,25 +4,29 @@ The on-disk format is a comma-separated edge list, one arc per line:
 
     tail,head,efficiency[,mode]
 
-where mode is ``dir`` (default) or ``undir``.  An optional header line is
-recognized by its third field not being a number.  Blank lines are
-skipped; both LF and CRLF endings work.  Parse failures carry 1-based
-line numbers.
+where mode is ``dir`` (default) or ``undir``.  The first non-blank line
+is a header, and skipped, when its third field is not a number and
+contains no digit; ``a,b,0.9x`` there is a typo, not a header.  Blank
+lines are skipped; both LF and CRLF endings work.
+
+parse_network checks only this syntax.  Labels, ranges, self-loops,
+duplicates and conflicts are validated once, by build_network, which
+reports the file line of the offending arc.  Syntax is checked over the
+whole file first, so a file with both kinds of defect reports its first
+syntax error.  Every error carries a 1-based line number.
 """
 
 from pathlib import Path
 
-from .algebra import check_efficiency
-from .errors import ConflictingArc, DuplicateArc, ParseError, SelfLoop
-from .network import Network, RawArc, build_network, validate_label
+from .errors import ParseError
+from .network import Network, RawArc, _build_network
 
 
 def parse_network(text: str) -> Network:
     """Parse edge-list text into a validated Network."""
     raws: list[RawArc] = []
-    directed_seen: dict[tuple[str, str], int] = {}
-    undirected_seen: dict[tuple[str, str], int] = {}
-    saw_data = False
+    lines: list[int] = []
+    saw_line = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -32,24 +36,16 @@ def parse_network(text: str) -> Network:
                 f"expected 3 or 4 comma-separated fields, got {len(fields)}",
                 line=lineno,
             )
-        if not saw_data:
-            saw_data = True
-            if not _is_number(fields[2]):
-                continue  # header line
-        tail, head = fields[0], fields[1]
-        validate_label(tail, line=lineno)
-        validate_label(head, line=lineno)
-        if tail == head:
-            raise SelfLoop(
-                f"self-loop on node {tail!r}", line=lineno, pair=(tail, head)
-            )
         try:
             eta = float(fields[2])
         except ValueError:
+            if not saw_line and not any(ch.isdigit() for ch in fields[2]):
+                saw_line = True
+                continue  # header line
             raise ParseError(
                 f"efficiency {fields[2]!r} is not a number", line=lineno
             ) from None
-        check_efficiency(eta, line=lineno, pair=(tail, head))
+        saw_line = True
         undir = False
         if len(fields) == 4:
             mode = fields[3]
@@ -59,49 +55,9 @@ def parse_network(text: str) -> Network:
                 raise ParseError(
                     f"mode must be 'dir' or 'undir', got {mode!r}", line=lineno
                 )
-        unordered = (tail, head) if tail < head else (head, tail)
-        if undir:
-            if unordered in undirected_seen:
-                raise DuplicateArc(
-                    f"undirected link {unordered[0]!r} -- {unordered[1]!r} "
-                    f"already declared on line {undirected_seen[unordered]}",
-                    line=lineno,
-                    pair=unordered,
-                )
-            if unordered in directed_seen or (head, tail) in directed_seen:
-                raise ConflictingArc(
-                    f"pair {unordered[0]!r} -- {unordered[1]!r} already has a "
-                    "directed arc",
-                    line=lineno,
-                    pair=unordered,
-                )
-            undirected_seen[unordered] = lineno
-        else:
-            if (tail, head) in directed_seen:
-                raise DuplicateArc(
-                    f"arc {tail!r} -> {head!r} already declared on line "
-                    f"{directed_seen[(tail, head)]}",
-                    line=lineno,
-                    pair=(tail, head),
-                )
-            if unordered in undirected_seen:
-                raise ConflictingArc(
-                    f"pair {unordered[0]!r} -- {unordered[1]!r} already has an "
-                    "undirected link",
-                    line=lineno,
-                    pair=(tail, head),
-                )
-            directed_seen[(tail, head)] = lineno
-        raws.append((tail, head, eta, undir))
-    return build_network(raws)
-
-
-def _is_number(field: str) -> bool:
-    try:
-        float(field)
-    except ValueError:
-        return False
-    return True
+        raws.append((fields[0], fields[1], eta, undir))
+        lines.append(lineno)
+    return _build_network(raws, lines)
 
 
 def read_network(path: str | Path) -> Network:
@@ -125,15 +81,25 @@ def render_network(net: Network) -> str:
 def to_dot(net: Network) -> str:
     """Render the network in DOT, for quick visual inspection.
 
-    Undirected links are drawn without an arrowhead.
+    Undirected links are drawn without an arrowhead.  Labels are quoted
+    with ``\\`` and ``"`` escaped, so every valid label yields valid DOT.
     """
+    # Only labels holding \ or " change.  A dict of every node's quoted
+    # form would cost a lookup into a large table per arc endpoint.
+    escaped = {
+        node: node.replace("\\", "\\\\").replace('"', '\\"')
+        for node in net.nodes
+        if "\\" in node or '"' in node
+    }
     lines = ["digraph network {"]
     for node in net.nodes:
-        lines.append(f'  "{node}";')
+        lines.append(f'  "{escaped.get(node, node)}";')
     for arc in net.arcs:
         attrs = f'label="{arc.efficiency}"'
         if arc.undirected:
             attrs += ", dir=none"
-        lines.append(f'  "{arc.tail}" -> "{arc.head}" [{attrs}];')
+        tail = escaped.get(arc.tail, arc.tail)
+        head = escaped.get(arc.head, arc.head)
+        lines.append(f'  "{tail}" -> "{head}" [{attrs}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

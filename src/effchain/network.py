@@ -12,6 +12,7 @@ Networks are immutable after build_network returns and are safe to share
 across threads; each query owns its own working state.
 """
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,10 +61,15 @@ class NetworkKind(Enum):
     MIXED = "mixed"
 
 
+# Exactly the characters validate_label rejects: commas and whatever
+# str.isspace() accepts.
+_FORBIDDEN_IN_LABEL = re.compile(r"[\s,]")
+
+
 def validate_label(label: str, *, line: int | None = None) -> str:
     if not isinstance(label, str) or not label:
         raise BadLabel(f"node label must be a non-empty string, got {label!r}", line=line)
-    if "," in label or any(ch.isspace() for ch in label):
+    if _FORBIDDEN_IN_LABEL.search(label):
         raise BadLabel(f"node label may not contain commas or whitespace: {label!r}", line=line)
     return label
 
@@ -164,64 +170,91 @@ RawArc = tuple[str, str, float, bool]
 def build_network(raw_arcs: list[RawArc] | tuple[RawArc, ...]) -> Network:
     """Validate raw (tail, head, efficiency, undirected) tuples into a Network.
 
-    Opposite directed arcs whose efficiencies agree within MERGE_TOLERANCE
-    become one undirected link (carrying the efficiency of the arc whose
-    tail is the smaller label).  Opposite arcs with different efficiencies
-    are both kept.  Rebuilding from a built network's arcs reproduces it.
+    Arcs are checked in input order and the first defect raises.  Opposite
+    directed arcs whose efficiencies agree within MERGE_TOLERANCE become
+    one undirected link (carrying the efficiency of the arc whose tail is
+    the smaller label).  Opposite arcs with different efficiencies are
+    both kept.  Rebuilding from a built network's arcs reproduces it.
     """
-    directed: dict[tuple[str, str], float] = {}
-    undirected: dict[tuple[str, str], float] = {}
-    seen_labels: set[str] = set()
+    return _build_network(raw_arcs, None)
+
+
+def _build_network(
+    raw_arcs: list[RawArc] | tuple[RawArc, ...], lines: list[int] | None
+) -> Network:
+    """build_network, with ``lines[i]`` the file line of ``raw_arcs[i]``.
+
+    Every error carries the line of the arc that raised it, and a
+    duplicate cites the line of its first declaration.
+    """
+    # (tail, head) -> (efficiency, line); undirected keys have tail < head.
+    directed: dict[tuple[str, str], tuple[float, int | None]] = {}
+    undirected: dict[tuple[str, str], tuple[float, int | None]] = {}
     nodes: set[str] = set()
 
-    for tail, head, eta, undir in raw_arcs:
+    for i, (tail, head, eta, undir) in enumerate(raw_arcs):
+        line = None if lines is None else lines[i]
         for label in (tail, head):
-            if label not in seen_labels:
-                validate_label(label)
-                seen_labels.add(label)
+            if label not in nodes:
+                validate_label(label, line=line)
+                nodes.add(label)
         if tail == head:
-            raise SelfLoop(f"self-loop on node {tail!r}", pair=(tail, head))
-        check_efficiency(eta, pair=(tail, head))
-        nodes.add(tail)
-        nodes.add(head)
+            raise SelfLoop(f"self-loop on node {tail!r}", line=line, pair=(tail, head))
+        check_efficiency(eta, line=line, pair=(tail, head))
+        unordered = (tail, head) if tail < head else (head, tail)
         if undir:
-            key = (tail, head) if tail < head else (head, tail)
-            if key in undirected:
+            if unordered in undirected:
                 raise DuplicateArc(
-                    f"duplicate undirected link {key[0]!r} -- {key[1]!r}", pair=key
+                    f"undirected link {unordered[0]!r} -- {unordered[1]!r} "
+                    f"already declared{_on_line(undirected[unordered][1])}",
+                    line=line,
+                    pair=unordered,
                 )
-            undirected[key] = eta
+            if (tail, head) in directed or (head, tail) in directed:
+                raise ConflictingArc(
+                    f"pair {unordered[0]!r} -- {unordered[1]!r} already has a "
+                    "directed arc",
+                    line=line,
+                    pair=unordered,
+                )
+            undirected[unordered] = (eta, line)
         else:
-            key = (tail, head)
-            if key in directed:
-                raise DuplicateArc(f"duplicate arc {tail!r} -> {head!r}", pair=key)
-            directed[key] = eta
-
-    # A directed arc and an undirected link may not share an unordered pair.
-    for (tail, head) in directed:
-        key = (tail, head) if tail < head else (head, tail)
-        if key in undirected:
-            raise ConflictingArc(
-                f"pair {key[0]!r} -- {key[1]!r} declared both directed and undirected",
-                pair=(tail, head),
-            )
+            if (tail, head) in directed:
+                raise DuplicateArc(
+                    f"arc {tail!r} -> {head!r} already declared"
+                    f"{_on_line(directed[(tail, head)][1])}",
+                    line=line,
+                    pair=(tail, head),
+                )
+            if unordered in undirected:
+                raise ConflictingArc(
+                    f"pair {unordered[0]!r} -- {unordered[1]!r} already has an "
+                    "undirected link",
+                    line=line,
+                    pair=(tail, head),
+                )
+            directed[(tail, head)] = (eta, line)
 
     # Merge opposite directed arcs of (tolerably) equal efficiency.
     arcs: list[Arc] = []
-    for (tail, head), eta in directed.items():
+    for (tail, head), (eta, line) in directed.items():
         if tail < head and (head, tail) in directed:
-            if abs(eta - directed[(head, tail)]) <= MERGE_TOLERANCE:
-                undirected[(tail, head)] = eta
+            if abs(eta - directed[(head, tail)][0]) <= MERGE_TOLERANCE:
+                undirected[(tail, head)] = (eta, line)
                 continue
         elif tail > head and (head, tail) in directed:
-            if abs(eta - directed[(head, tail)]) <= MERGE_TOLERANCE:
+            if abs(eta - directed[(head, tail)][0]) <= MERGE_TOLERANCE:
                 continue  # merged when the opposite arc was visited
         arcs.append(Arc(tail, head, eta, undirected=False))
-    for (u, v), eta in undirected.items():
+    for (u, v), (eta, _) in undirected.items():
         arcs.append(Arc(u, v, eta, undirected=True))
 
     arcs.sort(key=lambda a: (a.tail, a.head))
     return Network(tuple(sorted(nodes)), tuple(arcs))
+
+
+def _on_line(line: int | None) -> str:
+    return "" if line is None else f" on line {line}"
 
 
 def classify(net: Network) -> NetworkKind:

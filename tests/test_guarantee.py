@@ -98,6 +98,7 @@ def test_all_pairs_witness_is_attained():
         u, v = level.worst_pair
         recomputed = best_chain_multiplicative(net, u, v)
         assert recomputed.efficiency == level.value
+        assert level.worst_chain == recomputed
         assert level.worst_chain.nodes[0] == u
         assert level.worst_chain.nodes[-1] == v
 

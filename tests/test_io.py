@@ -3,6 +3,7 @@ import random
 import pytest
 
 from effchain import (
+    BadLabel,
     ConflictingArc,
     DuplicateArc,
     EfficiencyOutOfRange,
@@ -99,6 +100,48 @@ def test_header_only_on_first_line():
         parse_network("a,b,0.9\ntail,head,efficiency\n")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [("a,b,0.9x\nb,c,0.8\n", ParseError), ("a,b,nan\n", EfficiencyOutOfRange)],
+)
+def test_first_line_with_a_digit_is_data_not_header(text, error):
+    with pytest.raises(error) as exc_info:
+        parse_network(text)
+    assert exc_info.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text, error, line, cites",
+    [
+        ("a,b,0.9\nb c,d,0.8\n", BadLabel, 2, None),
+        ("a,b,0.9\nc,c,0.8\n", SelfLoop, 2, None),
+        ("a,b,0.9\nb,c,1.5\n", EfficiencyOutOfRange, 2, None),
+        ("a,b,0.9\nb,c,0.8\na,b,0.7\n", DuplicateArc, 3, "already declared on line 1"),
+        (
+            "a,b,0.9,undir\nb,c,0.8\nb,a,0.7,undir\n",
+            DuplicateArc,
+            3,
+            "already declared on line 1",
+        ),
+        ("a,b,0.9\nb,a,0.8,undir\n", ConflictingArc, 2, None),
+        ("a,b,0.9,undir\nb,a,0.8,dir\n", ConflictingArc, 2, None),
+    ],
+)
+def test_validation_errors_carry_line_numbers(text, error, line, cites):
+    with pytest.raises(error) as exc_info:
+        parse_network(text)
+    assert exc_info.value.line == line
+    if cites is not None:
+        assert cites in str(exc_info.value)
+    raws = []
+    for row in text.splitlines():
+        tail, head, eta, *mode = row.split(",")
+        raws.append((tail, head, float(eta), mode == ["undir"]))
+    with pytest.raises(error) as exc_info:
+        build_network(raws)
+    assert exc_info.value.line is None
+
+
 def test_round_trip_identity():
     rng = random.Random(888)
     for _ in range(100):
@@ -127,3 +170,14 @@ def test_to_dot_marks_undirected():
     assert dot.startswith("digraph")
     assert '"a" -> "b" [label="0.9"];' in dot
     assert '"b" -> "c" [label="0.8", dir=none];' in dot
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    net = build_network([('a"b', "c\\", 0.5, False)])
+    assert to_dot(net) == (
+        "digraph network {\n"
+        '  "a\\"b";\n'
+        '  "c\\\\";\n'
+        '  "a\\"b" -> "c\\\\" [label="0.5"];\n'
+        "}\n"
+    )
