@@ -35,6 +35,12 @@ def check_efficiency(value: float, *, line: int | None = None, pair: tuple[str, 
     return value
 
 
+def _check_base(base: float) -> None:
+    """Raise BadBase unless ``base`` is a logarithm base above 1."""
+    if base <= 1.0:
+        raise BadBase(f"log base must exceed 1, got {base!r}")
+
+
 @dataclass(frozen=True)
 class Lossiness:
     """A nonnegative additive link weight with the log base it was taken in.
@@ -85,8 +91,7 @@ def to_lossiness(eta: float, base: float = DEFAULT_BASE) -> Lossiness:
 
     Monotone decreasing in eta: more efficient links are less lossy.
     """
-    if base <= 1.0:
-        raise BadBase(f"log base must exceed 1, got {base!r}")
+    _check_base(base)
     check_efficiency(eta)
     # abs() folds the -0.0 that -log(1.0) would produce into 0.0.
     return Lossiness(abs(math.log(eta) / math.log(base)), base)
@@ -97,8 +102,7 @@ def from_lossiness(t: Lossiness) -> float:
 
     Round-trips with to_lossiness to within 1e-12.
     """
-    if t.base <= 1.0:
-        raise BadBase(f"log base must exceed 1, got {t.base!r}")
+    _check_base(t.base)
     if t.value < 0:
         raise NegativeLossiness(f"lossiness must be >= 0, got {t.value!r}")
     return t.base ** (-t.value)

@@ -15,8 +15,8 @@ Two routes to a floor on chain efficiency:
 from dataclasses import dataclass
 
 from .errors import NotConnected, SomePairUnreachable, UnknownNode
-from .network import Edge, Network, UndirectedView, as_symmetric
-from .routing import Chain, _reconstruct, multiplicative_search
+from .network import Arc, Edge, Network, UndirectedView, _DisjointSet, as_symmetric
+from .routing import Chain, _chain_nodes, _product_sweep
 
 
 @dataclass(frozen=True)
@@ -54,32 +54,6 @@ class GuaranteedLevel:
     tree: SpanningTree | None = None
     worst_pair: tuple[str, str] | None = None
     worst_chain: Chain | None = None
-
-
-class _DisjointSet:
-    """Union-find over integer indices with path halving."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.rank = [0] * size
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return True
 
 
 def max_product_spanning_tree(view: UndirectedView) -> SpanningTree:
@@ -126,36 +100,30 @@ def guaranteed_min_by_tree(net: Network) -> GuaranteedLevel:
 
 def tree_path(tree: SpanningTree, u: str, v: str) -> Chain:
     """The unique chain joining ``u`` and ``v`` inside a spanning tree."""
-    node_set = set(tree.nodes)
+    arcs = tuple(Arc(e.u, e.v, e.efficiency, undirected=True) for e in tree.edges)
+    net = Network(tree.nodes, arcs)
     for label in (u, v):
-        if label not in node_set:
+        if label not in net:
             raise UnknownNode(f"no node {label!r} in tree")
     if u == v:
         return Chain((u,), 1.0)
-    adj: dict[str, list[str]] = {label: [] for label in tree.nodes}
-    eff: dict[tuple[str, str], float] = {}
-    for edge in tree.edges:
-        adj[edge.u].append(edge.v)
-        adj[edge.v].append(edge.u)
-        eff[(edge.u, edge.v)] = edge.efficiency
+    # Walk out from u, multiplying each node's product onto the next step,
+    # so the product at v is the chain's left-to-right product.
     pred: dict[str, str] = {}
-    frontier = [u]
-    while frontier and v not in pred:
-        next_frontier = []
-        for x in frontier:
-            for y in adj[x]:
-                if y != u and y not in pred:
-                    pred[y] = x
-                    next_frontier.append(y)
-        frontier = next_frontier
+    product = {u: 1.0}
+    stack = [u]
+    while stack and v not in pred:
+        x = stack.pop()
+        for y, eta in net.out_neighbors(x):
+            if y not in product:
+                pred[y] = x
+                product[y] = product[x] * eta
+                stack.append(y)
     nodes = [v]
     while nodes[-1] != u:
         nodes.append(pred[nodes[-1]])
     nodes.reverse()
-    efficiency = 1.0
-    for a, b in zip(nodes, nodes[1:]):
-        efficiency *= eff[(a, b) if a < b else (b, a)]
-    return Chain(tuple(nodes), efficiency)
+    return Chain(tuple(nodes), product[v])
 
 
 def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
@@ -170,16 +138,15 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     if len(nodes) <= 1:
         return GuaranteedLevel(value=1.0, method="all-pairs")
     best_value = 2.0  # above any attainable efficiency
-    best_pair: tuple[str, str] | None = None
-    for source in nodes:
-        weight, pred, _ = multiplicative_search(net, source)
-        for target in nodes:
+    best_pair: tuple[int, int] | None = None
+    for source in range(len(nodes)):
+        weight, pred, _ = _product_sweep(net, source, None, 1)
+        for target in range(len(nodes)):
             if target == source:
                 continue
             if target not in weight:
-                raise SomePairUnreachable(
-                    f"no chain from {source} to {target}", pair=(source, target)
-                )
+                u, v = nodes[source], nodes[target]
+                raise SomePairUnreachable(f"no chain from {u} to {v}", pair=(u, v))
             if weight[target] < best_value:
                 best_value = weight[target]
                 best_pair = (source, target)
@@ -187,10 +154,10 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     assert best_pair is not None
     # A settled node's weight and predecessor never change, so this full
     # sweep's chain is the one a search stopping at the target would find.
-    witness = Chain(_reconstruct(best_pred, *best_pair), best_value)
+    witness = Chain(_chain_nodes(net, best_pred, *best_pair), best_value)
     return GuaranteedLevel(
         value=best_value,
         method="all-pairs",
-        worst_pair=best_pair,
+        worst_pair=(nodes[best_pair[0]], nodes[best_pair[1]]),
         worst_chain=witness,
     )

@@ -6,13 +6,19 @@ efficiency is collapsed into a single undirected link at build time;
 service then flows both ways over that link with the same efficiency.
 Node labels are plain strings (non-empty, no commas, no whitespace), and
 every iteration order in the package is ascending by label so runs are
-reproducible.
+reproducible.  A Network interns its labels once, in ascending order:
+node id ``i`` is ``nodes[i]``, so ordering by id is ordering by label.
+Its one adjacency lists, per id, the (head id, efficiency) steps leaving
+that node in ascending id order; every lookup and both search routes
+read it.  Among nodes of equal weight a search settles the smaller label
+first under tie_break="low" and the larger under "high".
 
 Networks are immutable after build_network returns and are safe to share
 across threads; each query owns its own working state.
 """
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,23 +88,22 @@ class Network:
     already-validated input.
     """
 
-    __slots__ = ("_nodes", "_arcs", "_adj", "_eff")
+    __slots__ = ("_nodes", "_arcs", "_index", "_out")
 
     def __init__(self, nodes: tuple[str, ...], arcs: tuple[Arc, ...]):
         self._nodes = nodes
         self._arcs = arcs
-        adj: dict[str, list[tuple[str, float]]] = {u: [] for u in nodes}
-        eff: dict[tuple[str, str], float] = {}
+        index = {label: i for i, label in enumerate(nodes)}
+        out: list[list[tuple[int, float]]] = [[] for _ in nodes]
         for arc in arcs:
-            adj[arc.tail].append((arc.head, arc.efficiency))
-            eff[(arc.tail, arc.head)] = arc.efficiency
+            tail, head = index[arc.tail], index[arc.head]
+            out[tail].append((head, arc.efficiency))
             if arc.undirected:
-                adj[arc.head].append((arc.tail, arc.efficiency))
-                eff[(arc.head, arc.tail)] = arc.efficiency
-        for u in adj:
-            adj[u].sort()
-        self._adj = adj
-        self._eff = eff
+                out[head].append((tail, arc.efficiency))
+        for row in out:
+            row.sort()
+        self._index = index
+        self._out = out
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -118,22 +123,34 @@ class Network:
         ascending label order.
         """
         try:
-            return list(self._adj[u])
+            row = self._out[self._index[u]]
         except KeyError:
             raise UnknownNode(f"no node {u!r} in network") from None
+        nodes = self._nodes
+        return [(nodes[v], eta) for v, eta in row]
+
+    def _step(self, u: str, v: str) -> float | None:
+        """Efficiency of the step u -> v, or None when there is none."""
+        try:
+            row = self._out[self._index[u]]
+            head = self._index[v]
+        except KeyError:
+            return None
+        k = bisect_left(row, (head,))
+        return row[k][1] if k < len(row) and row[k][0] == head else None
 
     def step_efficiency(self, u: str, v: str) -> float:
         """Efficiency of the single step u -> v, if the network carries one."""
-        try:
-            return self._eff[(u, v)]
-        except KeyError:
-            raise UnknownNode(f"no service-carrying step {u!r} -> {v!r}") from None
+        eta = self._step(u, v)
+        if eta is None:
+            raise UnknownNode(f"no service-carrying step {u!r} -> {v!r}")
+        return eta
 
     def has_step(self, u: str, v: str) -> bool:
-        return (u, v) in self._eff
+        return self._step(u, v) is not None
 
     def __contains__(self, label: str) -> bool:
-        return label in self._adj
+        return label in self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
@@ -154,14 +171,31 @@ class UndirectedView:
     nodes: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        adj: dict[str, list[tuple[str, float]]] = {u: [] for u in self.nodes}
-        for e in self.edges:
-            adj[e.u].append((e.v, e.efficiency))
-            adj[e.v].append((e.u, e.efficiency))
-        for u in adj:
-            adj[u].sort()
-        return adj
+
+class _DisjointSet:
+    """Union-find over integer indices with path halving."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.rank = [0] * size
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if self.rank[rx] < self.rank[ry]:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        if self.rank[rx] == self.rank[ry]:
+            self.rank[rx] += 1
+        return True
 
 
 RawArc = tuple[str, str, float, bool]
@@ -269,11 +303,12 @@ def classify(net: Network) -> NetworkKind:
     any_both_ways = False
     all_both_ways = True
     any_directed_pair = False
-    directed_pairs = {(a.tail, a.head) for a in net.arcs if not a.undirected}
     for arc in net.arcs:
         if arc.undirected:
             any_both_ways = True
-        elif (arc.head, arc.tail) in directed_pairs:
+        # No undirected link shares a directed arc's pair, so a reverse
+        # step here is a second directed arc.
+        elif net.has_step(arc.head, arc.tail):
             any_both_ways = True
             any_directed_pair = True
         else:
@@ -305,16 +340,7 @@ def as_symmetric(net: Network) -> UndirectedView:
 
 def is_connected(view: UndirectedView) -> bool:
     """True iff every node is reachable from every other, ignoring direction."""
-    if len(view.nodes) <= 1:
-        return True
-    adj = view.adjacency()
-    start = view.nodes[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(view.nodes)
+    index = {label: i for i, label in enumerate(view.nodes)}
+    dsu = _DisjointSet(len(index))
+    joins = sum(dsu.union(index[e.u], index[e.v]) for e in view.edges)
+    return joins >= len(index) - 1

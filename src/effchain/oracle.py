@@ -9,7 +9,7 @@ in a test cannot silently burn minutes.
 from itertools import combinations
 
 from .errors import SizeLimitExceeded, UnknownNode
-from .network import Edge, Network, UndirectedView
+from .network import Edge, Network, UndirectedView, is_connected
 from .routing import Chain
 
 MAX_CHAIN_NODES = 12
@@ -33,13 +33,12 @@ def enumerate_chains(net: Network, a: str, z: str) -> list[Chain]:
             raise UnknownNode(f"no node {label!r} in network")
     if a == z:
         return [Chain((a,), 1.0)]
-    adj = net._adj
     found: list[Chain] = []
     path = [a]
     on_path = {a}
 
     def extend(node: str, efficiency: float) -> None:
-        for nxt, eta in adj[node]:
+        for nxt, eta in net.out_neighbors(node):
             if nxt in on_path:
                 continue
             product = efficiency * eta
@@ -82,24 +81,11 @@ def enumerate_spanning_trees(view: UndirectedView) -> list[tuple[Edge, ...]]:
         )
     if len(nodes) <= 1:
         return [()]
-    trees: list[tuple[Edge, ...]] = []
-    want = len(nodes) - 1
-    for subset in combinations(view.edges, want):
-        adj: dict[str, list[str]] = {u: [] for u in nodes}
-        for e in subset:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) == len(nodes):
-            trees.append(subset)
-    return trees
+    return [
+        subset
+        for subset in combinations(view.edges, len(nodes) - 1)
+        if is_connected(UndirectedView(nodes, subset))
+    ]
 
 
 def brute_best_tree(view: UndirectedView) -> tuple[float, tuple[Edge, ...]]:

@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import BadBase, UnknownNode
+from .algebra import _check_base, chain_efficiency
+from .errors import UnknownNode
 from .network import Network
 
 TieBreak = str  # "low": settle the smallest label among ties; "high": the largest
@@ -46,48 +47,35 @@ class Chain:
         return len(self.nodes) - 1
 
 
-class _ReverseOrder:
-    """Wrapper inverting comparison, for the reversed tie-break rule."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return self.value > other.value
-
-
-def _tie_key(tie_break: TieBreak):
+def _tie_sign(tie_break: TieBreak) -> int:
+    """Heap entries hold (weight key, sign * id); ids follow label order."""
     if tie_break == "low":
-        return lambda label: label
+        return 1
     if tie_break == "high":
-        return _ReverseOrder
+        return -1
     raise ValueError(f"tie_break must be 'low' or 'high', got {tie_break!r}")
 
 
-def multiplicative_search(
-    net: Network, source: str, target: str | None = None, tie_break: TieBreak = "low"
-) -> tuple[dict[str, float], dict[str, str], list[str]]:
-    """Run the multiplicative Dijkstra sweep from ``source``.
+def _node_id(net: Network, label: str) -> int:
+    try:
+        return net._index[label]
+    except KeyError:
+        raise UnknownNode(f"no node {label!r} in network") from None
 
-    Returns (weight, pred, settled): final node weights (absent = weight 0,
-    unreached), the predecessor of each reached non-source node, and the
-    settle order.  Stops as soon as ``target`` is settled; with
-    target=None it settles every reachable node (used by the all-pairs
-    guaranteed-level sweep).
-    """
-    key = _tie_key(tie_break)
-    if source not in net:
-        raise UnknownNode(f"no node {source!r} in network")
-    adj = net._adj
+
+def _product_sweep(
+    net: Network, source: int, target: int | None, sign: int
+) -> tuple[dict[int, float], dict[int, int], list[int]]:
+    """multiplicative_search over node ids, with ties settled by ``sign``."""
+    adj = net._out
     weight = {source: 1.0}
-    pred: dict[str, str] = {}
-    settled: set[str] = set()
-    order: list[str] = []
-    heap = [(-1.0, key(source), source)]
+    pred: dict[int, int] = {}
+    settled: set[int] = set()
+    order: list[int] = []
+    heap = [(-1.0, sign * source)]
     while heap:
-        neg_w, _, v = heappop(heap)
+        neg_w, key = heappop(heap)
+        v = sign * key
         if v in settled:
             continue
         settled.add(v)
@@ -104,35 +92,24 @@ def multiplicative_search(
             if candidate > weight.get(u, 0.0):
                 weight[u] = candidate
                 pred[u] = v
-                heappush(heap, (-candidate, key(u), u))
+                heappush(heap, (-candidate, sign * u))
     return weight, pred, order
 
 
-def additive_search(
-    net: Network,
-    source: str,
-    target: str | None = None,
-    base: float = 2.0,
-    tie_break: TieBreak = "low",
-) -> tuple[dict[str, float], dict[str, str], list[str]]:
-    """Run the classical min-sum Dijkstra over lossiness weights.
-
-    Arc weights are -log_base(efficiency); the source starts at distance 0
-    and unreached nodes are absent (conceptually at infinity).  Returns
-    (distance, pred, settled) analogous to multiplicative_search.
-    """
-    key = _tie_key(tie_break)
-    if source not in net:
-        raise UnknownNode(f"no node {source!r} in network")
+def _lossiness_sweep(
+    net: Network, source: int, target: int | None, base: float, sign: int
+) -> tuple[dict[int, float], dict[int, int], list[int]]:
+    """additive_search over node ids, with ties settled by ``sign``."""
     log_base = math.log(base)
-    adj = net._adj
+    adj = net._out
     dist = {source: 0.0}
-    pred: dict[str, str] = {}
-    settled: set[str] = set()
-    order: list[str] = []
-    heap = [(0.0, key(source), source)]
+    pred: dict[int, int] = {}
+    settled: set[int] = set()
+    order: list[int] = []
+    heap = [(0.0, sign * source)]
     while heap:
-        d, _, v = heappop(heap)
+        d, key = heappop(heap)
+        v = sign * key
         if v in settled:
             continue
         settled.add(v)
@@ -146,22 +123,64 @@ def additive_search(
             if candidate < dist.get(u, math.inf):
                 dist[u] = candidate
                 pred[u] = v
-                heappush(heap, (candidate, key(u), u))
+                heappush(heap, (candidate, sign * u))
     return dist, pred, order
 
 
-def _reconstruct(pred: dict[str, str], source: str, target: str) -> tuple[str, ...]:
-    nodes = [target]
-    while nodes[-1] != source:
-        nodes.append(pred[nodes[-1]])
-    nodes.reverse()
-    return tuple(nodes)
+def _labelled(net: Network, value: dict, pred: dict, order: list) -> tuple:
+    """A sweep's id-keyed (value, pred, order), translated to labels."""
+    nodes = net.nodes
+    return (
+        {nodes[v]: x for v, x in value.items()},
+        {nodes[v]: nodes[p] for v, p in pred.items()},
+        [nodes[v] for v in order],
+    )
 
 
-def _check_endpoints(net: Network, a: str, z: str) -> None:
-    for label in (a, z):
-        if label not in net:
-            raise UnknownNode(f"no node {label!r} in network")
+def multiplicative_search(
+    net: Network, source: str, target: str | None = None, tie_break: TieBreak = "low"
+) -> tuple[dict[str, float], dict[str, str], list[str]]:
+    """Run the multiplicative Dijkstra sweep from ``source``.
+
+    Returns (weight, pred, settled): final node weights (absent = weight 0,
+    unreached), the predecessor of each reached non-source node, and the
+    settle order.  Stops as soon as ``target`` is settled; with
+    target=None it settles every reachable node (used by the all-pairs
+    guaranteed-level sweep).
+    """
+    sign, source_id = _tie_sign(tie_break), _node_id(net, source)
+    return _labelled(net, *_product_sweep(net, source_id, net._index.get(target), sign))
+
+
+def additive_search(
+    net: Network,
+    source: str,
+    target: str | None = None,
+    base: float = 2.0,
+    tie_break: TieBreak = "low",
+) -> tuple[dict[str, float], dict[str, str], list[str]]:
+    """Run the classical min-sum Dijkstra over lossiness weights.
+
+    Arc weights are -log_base(efficiency) for a base > 1; the source starts
+    at distance 0 and unreached nodes are absent (conceptually at
+    infinity).  Returns (distance, pred, settled) analogous to
+    multiplicative_search.
+    """
+    _check_base(base)
+    sign, source_id = _tie_sign(tie_break), _node_id(net, source)
+    target_id = net._index.get(target)
+    return _labelled(net, *_lossiness_sweep(net, source_id, target_id, base, sign))
+
+
+def _chain_nodes(
+    net: Network, pred: dict[int, int], source: int, target: int
+) -> tuple[str, ...]:
+    """The labels along the pred chain from ``source`` to ``target``."""
+    ids = [target]
+    while ids[-1] != source:
+        ids.append(pred[ids[-1]])
+    nodes = net.nodes
+    return tuple(nodes[v] for v in reversed(ids))
 
 
 def best_chain_multiplicative(
@@ -174,13 +193,13 @@ def best_chain_multiplicative(
     the tie_break rule decides which settles first; the optimum value does
     not depend on that choice.
     """
-    _check_endpoints(net, a, z)
-    if a == z:
+    source, target = _node_id(net, a), _node_id(net, z)
+    if source == target:
         return Chain((a,), 1.0)
-    weight, pred, _ = multiplicative_search(net, a, target=z, tie_break=tie_break)
-    if z not in pred:
+    weight, pred, _ = _product_sweep(net, source, target, _tie_sign(tie_break))
+    if target not in pred:
         return None
-    return Chain(_reconstruct(pred, a, z), weight[z])
+    return Chain(_chain_nodes(net, pred, source, target), weight[target])
 
 
 def best_chain_via_lossiness(
@@ -194,16 +213,13 @@ def best_chain_via_lossiness(
     the product of its arcs.  The chosen base does not change which chain
     wins; it only rescales all lossiness totals by a positive constant.
     """
-    if base <= 1.0:
-        raise BadBase(f"log base must exceed 1, got {base!r}")
-    _check_endpoints(net, a, z)
-    if a == z:
+    _check_base(base)
+    source, target = _node_id(net, a), _node_id(net, z)
+    if source == target:
         return Chain((a,), 1.0)
-    _, pred, _ = additive_search(net, a, target=z, base=base, tie_break=tie_break)
-    if z not in pred:
+    _, pred, _ = _lossiness_sweep(net, source, target, base, _tie_sign(tie_break))
+    if target not in pred:
         return None
-    nodes = _reconstruct(pred, a, z)
-    efficiency = 1.0
-    for u, v in zip(nodes, nodes[1:]):
-        efficiency *= net.step_efficiency(u, v)
-    return Chain(nodes, efficiency)
+    nodes = _chain_nodes(net, pred, source, target)
+    links = [net.step_efficiency(u, v) for u, v in zip(nodes, nodes[1:])]
+    return Chain(nodes, chain_efficiency(links))

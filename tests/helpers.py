@@ -2,6 +2,7 @@
 
 import random
 import string
+from collections.abc import Callable
 from itertools import combinations
 
 from effchain import Network, build_network
@@ -31,8 +32,14 @@ def random_directed_network(rng: random.Random, max_nodes: int = 8) -> Network:
             return build_network(raws)
 
 
-def random_mixed_network(rng: random.Random, max_nodes: int = 8) -> Network:
-    """A network mixing one-way, two-way unequal, and undirected pairs."""
+def random_mixed_network(
+    rng: random.Random, max_nodes: int = 8, draw: Callable[[], float] | None = None
+) -> Network:
+    """A network mixing one-way, two-way unequal, and undirected pairs.
+
+    ``draw`` picks each efficiency; by default uniform in (0, 1].
+    """
+    draw = draw or (lambda: 1.0 - rng.random())
     while True:
         n = rng.randint(2, max_nodes)
         names = labels_for(n)
@@ -43,12 +50,12 @@ def random_mixed_network(rng: random.Random, max_nodes: int = 8) -> Network:
                 continue
             if roll < 0.55:
                 tail, head = (u, v) if rng.random() < 0.5 else (v, u)
-                raws.append((tail, head, 1.0 - rng.random(), False))
+                raws.append((tail, head, draw(), False))
             elif roll < 0.8:
-                raws.append((u, v, 1.0 - rng.random(), False))
-                raws.append((v, u, 1.0 - rng.random(), False))
+                raws.append((u, v, draw(), False))
+                raws.append((v, u, draw(), False))
             else:
-                raws.append((u, v, 1.0 - rng.random(), True))
+                raws.append((u, v, draw(), True))
         if raws:
             return build_network(raws)
 
@@ -110,3 +117,13 @@ def scale_network(rng: random.Random, n: int, m: int) -> tuple[Network, str, str
         seen.add((i, j))
         raws.append((names[i], names[j], 1.0 - rng.random(), False))
     return build_network(raws), names[0], names[-1]
+
+
+def underflow_path(links: int = 1100) -> Network:
+    """An undirected path of 0.5 links whose end-to-end product underflows.
+
+    2^-1074 is the smallest positive float, so past 1,074 links the true
+    product of the whole path rounds to 0.0.
+    """
+    names = [f"n{i:04d}" for i in range(links + 1)]
+    return build_network([(u, v, 0.5, True) for u, v in zip(names, names[1:])])

@@ -19,7 +19,7 @@ from effchain import (
     tree_path,
 )
 from effchain.oracle import brute_best_tree
-from helpers import random_connected_undirected, random_tree
+from helpers import random_connected_undirected, random_tree, underflow_path
 
 
 def _triangle():
@@ -199,3 +199,25 @@ def test_guaranteed_level_fields_by_method():
     exact = guaranteed_min_all_pairs(net)
     assert exact.tree is None
     assert exact.worst_pair is not None
+
+
+# Long-path underflow (ROADMAP items 2b and 2c): on the connected 1,101-node
+# path of 0.5 links, the worst pair's true level 2^-1100 underflows.
+_UNDERFLOW = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP items 2b-2c: a level whose product underflows is lost or reported as 0.0",
+)
+
+
+@_UNDERFLOW
+def test_all_pairs_level_on_underflowing_path():
+    level = guaranteed_min_all_pairs(underflow_path())
+    assert level.worst_chain is not None
+    assert level.worst_chain.length == 1100
+    assert 0.0 < level.value <= 1.0
+
+
+@_UNDERFLOW
+def test_tree_level_on_underflowing_path():
+    level = guaranteed_min_by_tree(underflow_path())
+    assert 0.0 < level.value <= 1.0

@@ -73,7 +73,38 @@ def test_unknown_node_lookups():
         net.out_neighbors("q")
     with pytest.raises(UnknownNode):
         net.step_efficiency("a", "q")
+    with pytest.raises(UnknownNode):
+        net.step_efficiency("q", "a")
+    with pytest.raises(UnknownNode):
+        net.step_efficiency("b", "a")
+    assert not net.has_step("q", "a")
+    assert not net.has_step("a", "q")
     assert "q" not in net
+
+
+def test_lookups_agree_with_arcs():
+    """Every step the arcs declare, and no other, is found by each lookup."""
+    rng = random.Random(31)
+    for _ in range(100):
+        net = random_mixed_network(rng)
+        steps = {}
+        for arc in net.arcs:
+            steps[(arc.tail, arc.head)] = arc.efficiency
+            if arc.undirected:
+                steps[(arc.head, arc.tail)] = arc.efficiency
+        for u in net.nodes:
+            assert u in net
+            neighbors = net.out_neighbors(u)
+            assert neighbors == sorted(
+                (v, eta) for (t, v), eta in steps.items() if t == u
+            )
+            for v in net.nodes:
+                assert net.has_step(u, v) == ((u, v) in steps)
+                if (u, v) in steps:
+                    assert net.step_efficiency(u, v) == steps[(u, v)]
+                else:
+                    with pytest.raises(UnknownNode):
+                        net.step_efficiency(u, v)
 
 
 @pytest.mark.parametrize("label", ["", "a,b", "a b", " a", "\t"])
@@ -188,11 +219,11 @@ def test_as_symmetric_adjacency_is_symmetric():
             for j in range(i + 1, len(names)):
                 if rng.random() < 0.5:
                     raws.append((names[i], names[j], 1.0 - rng.random(), True))
-        view = as_symmetric(build_network(raws))
-        adj = view.adjacency()
-        for u, neighbors in adj.items():
-            for v, eta in neighbors:
-                assert (u, eta) in adj[v]
+        net = build_network(raws)
+        as_symmetric(net)  # accepted: every link is undirected
+        for u in net.nodes:
+            for v, eta in net.out_neighbors(u):
+                assert (u, eta) in net.out_neighbors(v)
 
 
 def test_is_connected():
@@ -202,6 +233,19 @@ def test_is_connected():
     assert is_connected(joined)
     split = as_symmetric(build_network([("a", "b", 0.5, True), ("c", "d", 0.5, True)]))
     assert not is_connected(split)
+    # A cycle spends an edge without joining anything: four edges on five
+    # nodes still leave two components.
+    cycle = as_symmetric(
+        build_network(
+            [
+                ("a", "b", 0.5, True),
+                ("b", "c", 0.5, True),
+                ("a", "c", 0.5, True),
+                ("d", "e", 0.5, True),
+            ]
+        )
+    )
+    assert not is_connected(cycle)
 
 
 def test_network_equality_and_hash():

@@ -12,10 +12,13 @@ from effchain import (
     best_chain_via_lossiness,
     build_network,
     demo_energy_network,
+    from_lossiness,
     multiplicative_search,
+    to_lossiness,
 )
+from effchain.algebra import Lossiness
 from effchain.oracle import brute_best_chain
-from helpers import random_directed_network, random_mixed_network
+from helpers import random_directed_network, random_mixed_network, underflow_path
 
 
 def test_demo_network_best_chain():
@@ -63,6 +66,19 @@ def test_bad_base_rejected():
     net = build_network([("a", "b", 0.9, False)])
     with pytest.raises(BadBase):
         best_chain_via_lossiness(net, "a", "b", base=1.0)
+
+
+@pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -2.0])
+def test_bad_base_rejected_by_every_lossiness_entry_point(base):
+    net = build_network([("a", "b", 0.9, False)])
+    with pytest.raises(BadBase):
+        additive_search(net, "a", base=base)
+    with pytest.raises(BadBase):
+        best_chain_via_lossiness(net, "a", "b", base=base)
+    with pytest.raises(BadBase):
+        to_lossiness(0.9, base=base)
+    with pytest.raises(BadBase):
+        from_lossiness(Lossiness(1.0, base))
 
 
 def test_bad_tie_break_rejected():
@@ -219,3 +235,53 @@ def test_tie_break_orders_settle_differently_but_agree_on_value():
 def test_chain_length_property():
     assert Chain(("a",), 1.0).length == 0
     assert Chain(("a", "b", "c"), 0.5).length == 2
+
+
+def test_high_tie_break_mirrors_low_on_reversed_labels():
+    """`high` on a network settles like `low` on its label-mirrored copy.
+
+    The mirror maps the i-th smallest label to the i-th largest, so the
+    largest label among ties becomes the smallest.  Settle orders and
+    weights must correspond; predecessors may not, since they follow the
+    adjacency scan order, which the mirror reverses.
+    """
+    rng = random.Random(1008)
+    for _ in range(60):
+        # Efficiencies of 0.5 and 1.0 keep products and lossiness sums
+        # exact, so equal chains tie exactly and the tie-break decides.
+        net = random_mixed_network(rng, draw=lambda: rng.choice((0.5, 1.0)))
+        raws = [(a.tail, a.head, a.efficiency, a.undirected) for a in net.arcs]
+        mirror = dict(zip(net.nodes, reversed(net.nodes)))
+        mirrored = build_network([(mirror[t], mirror[h], e, u) for t, h, e, u in raws])
+        for source in net.nodes:
+            for search in (multiplicative_search, additive_search):
+                weight, _, order = search(net, source, tie_break="high")
+                m_weight, _, m_order = search(mirrored, mirror[source], tie_break="low")
+                assert order == [mirror[v] for v in m_order]
+                assert weight == {mirror[v]: w for v, w in m_weight.items()}
+
+
+# Long-chain underflow (ROADMAP item 2a): the true product 2^-1100 of the
+# 1,100-link path lies below the smallest positive float.
+_UNDERFLOW = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2a: a chain whose product underflows is lost or reported as 0.0",
+)
+
+
+@_UNDERFLOW
+def test_underflowing_chain_found_by_product_route():
+    net = underflow_path()
+    chain = best_chain_multiplicative(net, net.nodes[0], net.nodes[-1])
+    assert chain is not None
+    assert chain.length == 1100
+    assert 0.0 < chain.efficiency <= 1.0
+
+
+@_UNDERFLOW
+def test_underflowing_chain_reported_in_range_by_lossiness_route():
+    net = underflow_path()
+    chain = best_chain_via_lossiness(net, net.nodes[0], net.nodes[-1])
+    assert chain is not None
+    assert chain.length == 1100
+    assert 0.0 < chain.efficiency <= 1.0
