@@ -54,10 +54,8 @@ from .io import parse_network, read_network, render_network, to_dot
 from .network import (
     MERGE_TOLERANCE,
     Arc,
-    Edge,
     Network,
     NetworkKind,
-    UndirectedView,
     as_symmetric,
     build_network,
     classify,
@@ -82,7 +80,6 @@ __all__ = [
     "CommissionOutOfRange",
     "ConflictingArc",
     "DuplicateArc",
-    "Edge",
     "EffchainError",
     "EfficiencyOutOfRange",
     "EmptyChain",
@@ -100,7 +97,6 @@ __all__ = [
     "SizeLimitExceeded",
     "SomePairUnreachable",
     "SpanningTree",
-    "UndirectedView",
     "UnknownNode",
     "WrongArity",
     "additive_search",

@@ -36,8 +36,8 @@ def check_efficiency(value: float, *, line: int | None = None, pair: tuple[str, 
 
 
 def _check_base(base: float) -> None:
-    """Raise BadBase unless ``base`` is a logarithm base above 1."""
-    if base <= 1.0:
+    """Raise BadBase unless ``base`` is a finite logarithm base above 1."""
+    if not (math.isfinite(base) and base > 1.0):
         raise BadBase(f"log base must exceed 1, got {base!r}")
 
 

@@ -84,7 +84,7 @@ class CommissionOutOfRange(EffchainError):
 # --- structure preconditions ---
 
 class NotSymmetric(EffchainError):
-    """The network contains a directed-only arc, so it has no undirected view."""
+    """The network contains a directed-only arc, so it is not symmetric."""
 
 
 class NotConnected(EffchainError):

@@ -10,26 +10,30 @@ Two routes to a floor on chain efficiency:
 * guaranteed_min_all_pairs -- run the maximum-efficiency chain search from
   every node and take the worst best-chain value over all ordered pairs.
   Exact by construction, at the cost of n full searches.
+
+The tree route needs no second graph type: a symmetric network's
+canonical arcs are its undirected edges, so the tree is a tuple of those
+Arcs and a tree path is a search over the Network they make up.
 """
 
 from dataclasses import dataclass
 
-from .errors import NotConnected, SomePairUnreachable, UnknownNode
-from .network import Arc, Edge, Network, UndirectedView, _DisjointSet, as_symmetric
-from .routing import Chain, _chain_nodes, _product_sweep
+from .errors import NotConnected, SomePairUnreachable
+from .network import Arc, Network, _DisjointSet, as_symmetric
+from .routing import Chain, _chain_nodes, _product_sweep, best_chain_multiplicative
 
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """A spanning tree of an undirected network.
+    """A spanning tree of a symmetric network.
 
-    ``edges`` is kept sorted by endpoints so that the product below is
-    always accumulated in the same order, regardless of how the tree was
-    discovered.
+    ``edges`` holds undirected Arcs (tail < head) kept sorted by endpoints
+    so that the product below is always accumulated in the same order,
+    regardless of how the tree was discovered.
     """
 
     nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    edges: tuple[Arc, ...]
 
     @property
     def product(self) -> float:
@@ -56,25 +60,26 @@ class GuaranteedLevel:
     worst_chain: Chain | None = None
 
 
-def max_product_spanning_tree(view: UndirectedView) -> SpanningTree:
+def max_product_spanning_tree(net: Network) -> SpanningTree:
     """Kruskal's construction of the maximum-product spanning tree.
 
     Because every efficiency lies in (0, 1], maximizing the product is the
-    same greedy problem as the classical maximum spanning tree: scan edges
+    same greedy problem as the classical maximum spanning tree: scan links
     from the most to the least efficient and keep those joining distinct
-    components.  Equally efficient edges are scanned in endpoint order, so
-    the result is deterministic.  Raises NotConnected when the view does
-    not span.
+    components.  The sort is stable over arcs already in (tail, head)
+    order, so equally efficient links are scanned in endpoint order and
+    the result is deterministic.  Raises NotSymmetric if any arc is
+    directed and NotConnected when the network does not span.
     """
-    nodes = view.nodes
+    nodes = as_symmetric(net).nodes
     if len(nodes) <= 1:
         return SpanningTree(nodes, ())
-    index = {label: i for i, label in enumerate(nodes)}
+    index = net._index
     dsu = _DisjointSet(len(nodes))
-    chosen: list[Edge] = []
-    for edge in sorted(view.edges, key=lambda e: (-e.efficiency, e.u, e.v)):
-        if dsu.union(index[edge.u], index[edge.v]):
-            chosen.append(edge)
+    chosen: list[Arc] = []
+    for arc in sorted(net.arcs, key=lambda a: -a.efficiency):
+        if dsu.union(index[arc.tail], index[arc.head]):
+            chosen.append(arc)
             if len(chosen) == len(nodes) - 1:
                 break
     if len(chosen) < len(nodes) - 1:
@@ -82,7 +87,7 @@ def max_product_spanning_tree(view: UndirectedView) -> SpanningTree:
             f"network is not connected: spanning tree needs {len(nodes) - 1} "
             f"edges, found {len(chosen)}"
         )
-    chosen.sort(key=lambda e: (e.u, e.v))
+    chosen.sort(key=lambda a: (a.tail, a.head))
     return SpanningTree(nodes, tuple(chosen))
 
 
@@ -94,36 +99,18 @@ def guaranteed_min_by_tree(net: Network) -> GuaranteedLevel:
     two nodes inside the tree uses a subset of the tree's edges, so its
     efficiency can only be higher.
     """
-    tree = max_product_spanning_tree(as_symmetric(net))
+    tree = max_product_spanning_tree(net)
     return GuaranteedLevel(value=tree.product, method="tree", tree=tree)
 
 
-def tree_path(tree: SpanningTree, u: str, v: str) -> Chain:
-    """The unique chain joining ``u`` and ``v`` inside a spanning tree."""
-    arcs = tuple(Arc(e.u, e.v, e.efficiency, undirected=True) for e in tree.edges)
-    net = Network(tree.nodes, arcs)
-    for label in (u, v):
-        if label not in net:
-            raise UnknownNode(f"no node {label!r} in tree")
-    if u == v:
-        return Chain((u,), 1.0)
-    # Walk out from u, multiplying each node's product onto the next step,
-    # so the product at v is the chain's left-to-right product.
-    pred: dict[str, str] = {}
-    product = {u: 1.0}
-    stack = [u]
-    while stack and v not in pred:
-        x = stack.pop()
-        for y, eta in net.out_neighbors(x):
-            if y not in product:
-                pred[y] = x
-                product[y] = product[x] * eta
-                stack.append(y)
-    nodes = [v]
-    while nodes[-1] != u:
-        nodes.append(pred[nodes[-1]])
-    nodes.reverse()
-    return Chain(tuple(nodes), product[v])
+def tree_path(tree: SpanningTree, u: str, v: str) -> Chain | None:
+    """The unique chain joining ``u`` and ``v`` inside a spanning tree.
+
+    A tree offers one chain per pair, so the maximum-efficiency search
+    finds it, with its product accumulated outward from ``u``.  Like
+    that search, it returns None when the product underflows to 0.0.
+    """
+    return best_chain_multiplicative(Network(tree.nodes, tree.edges), u, v)
 
 
 def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:

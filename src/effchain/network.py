@@ -13,6 +13,11 @@ that node in ascending id order; every lookup and both search routes
 read it.  Among nodes of equal weight a search settles the smaller label
 first under tie_break="low" and the larger under "high".
 
+A symmetric network needs no second representation: each of its arcs is
+an undirected link stored once with tail < head, so its canonical arcs
+are its unordered weighted edges.  as_symmetric only checks that, and the
+spanning tree, tree paths and connectivity test all run on a Network.
+
 Networks are immutable after build_network returns and are safe to share
 across threads; each query owns its own working state.
 """
@@ -49,15 +54,6 @@ class Arc:
     head: str
     efficiency: float
     undirected: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """An unordered weighted edge of an undirected view; u < v always."""
-
-    u: str
-    v: str
-    efficiency: float
 
 
 class NetworkKind(Enum):
@@ -162,14 +158,6 @@ class Network:
 
     def __repr__(self) -> str:
         return f"Network({len(self._nodes)} nodes, {len(self._arcs)} arcs)"
-
-
-@dataclass(frozen=True)
-class UndirectedView:
-    """A symmetric network exposed as a plain undirected weighted graph."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
 
 
 class _DisjointSet:
@@ -322,25 +310,25 @@ def classify(net: Network) -> NetworkKind:
     return NetworkKind.MIXED
 
 
-def as_symmetric(net: Network) -> UndirectedView:
-    """Expose a symmetric two-sided network as an undirected graph.
+def as_symmetric(net: Network) -> Network:
+    """Check that ``net`` is symmetric two-sided and return it unchanged.
 
-    Each link appears exactly once as an unordered weighted edge.  Raises
-    NotSymmetric if any directed-only arc is present.
+    In a symmetric network every arc is an undirected link, stored once
+    with tail < head, so ``net.arcs`` already lists each link exactly once
+    as an unordered weighted edge.  Raises NotSymmetric if any
+    directed-only arc is present.
     """
-    edges = []
     for arc in net.arcs:
         if not arc.undirected:
             raise NotSymmetric(
                 f"directed arc {arc.tail!r} -> {arc.head!r} has no undirected view"
             )
-        edges.append(Edge(arc.tail, arc.head, arc.efficiency))
-    return UndirectedView(net.nodes, tuple(edges))
+    return net
 
 
-def is_connected(view: UndirectedView) -> bool:
+def is_connected(net: Network) -> bool:
     """True iff every node is reachable from every other, ignoring direction."""
-    index = {label: i for i, label in enumerate(view.nodes)}
+    index = net._index
     dsu = _DisjointSet(len(index))
-    joins = sum(dsu.union(index[e.u], index[e.v]) for e in view.edges)
+    joins = sum(dsu.union(index[arc.tail], index[arc.head]) for arc in net.arcs)
     return joins >= len(index) - 1

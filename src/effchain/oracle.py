@@ -1,15 +1,15 @@
 """Exhaustive baselines for cross-checking the fast algorithms.
 
 Everything here is deliberately naive: simple-chain enumeration by depth
-first search and spanning-tree enumeration by trying every edge subset.
-Both refuse networks large enough to make enumeration explode, so a typo
-in a test cannot silently burn minutes.
+first search and spanning-tree enumeration by trying every subset of a
+symmetric network's arcs.  Both refuse networks large enough to make
+enumeration explode, so a typo in a test cannot silently burn minutes.
 """
 
 from itertools import combinations
 
 from .errors import SizeLimitExceeded, UnknownNode
-from .network import Edge, Network, UndirectedView, is_connected
+from .network import Arc, Network, as_symmetric, is_connected
 from .routing import Chain
 
 MAX_CHAIN_NODES = 12
@@ -67,47 +67,48 @@ def brute_best_chain(net: Network, a: str, z: str) -> Chain | None:
     return min(chains, key=lambda c: (-c.efficiency, c.length, c.nodes))
 
 
-def enumerate_spanning_trees(view: UndirectedView) -> list[tuple[Edge, ...]]:
-    """Every spanning tree of the view, as sorted edge tuples.
+def enumerate_spanning_trees(net: Network) -> list[tuple[Arc, ...]]:
+    """Every spanning tree of a symmetric network, as sorted arc tuples.
 
-    Tries each (n-1)-subset of the edges and keeps those that connect all
-    nodes; with exactly n-1 edges, connected and acyclic coincide.
+    Tries each (n-1)-subset of the undirected arcs and keeps those that
+    connect all nodes; with exactly n-1 arcs, connected and acyclic
+    coincide.  Raises NotSymmetric if any arc is directed.
     """
-    nodes = view.nodes
+    nodes = as_symmetric(net).nodes
     if len(nodes) > MAX_TREE_NODES:
         raise SizeLimitExceeded(
             f"spanning-tree enumeration is capped at {MAX_TREE_NODES} nodes, "
-            f"view has {len(nodes)}"
+            f"network has {len(nodes)}"
         )
     if len(nodes) <= 1:
         return [()]
     return [
         subset
-        for subset in combinations(view.edges, len(nodes) - 1)
-        if is_connected(UndirectedView(nodes, subset))
+        for subset in combinations(net.arcs, len(nodes) - 1)
+        if is_connected(Network(nodes, subset))
     ]
 
 
-def brute_best_tree(view: UndirectedView) -> tuple[float, tuple[Edge, ...]]:
+def brute_best_tree(net: Network) -> tuple[float, tuple[Arc, ...]]:
     """The spanning tree of maximal edge product, by full enumeration.
 
     Returns (product, edges).  Products are computed over the
-    endpoint-sorted edge tuple, the shared convention everywhere a tree
+    endpoint-sorted arc tuple, the shared convention everywhere a tree
     product appears.  Ties break toward the lexicographically smallest
-    endpoint sequence.  An unconnected view has no spanning trees and is
-    reported as a ValueError.
+    endpoint sequence.  An unconnected network has no spanning trees and
+    is reported as a ValueError.
     """
-    trees = enumerate_spanning_trees(view)
+    trees = enumerate_spanning_trees(net)
     if not trees:
-        raise ValueError("view has no spanning tree; it is not connected")
+        raise ValueError("network has no spanning tree; it is not connected")
     best_product = -1.0
-    best_edges: tuple[Edge, ...] = ()
+    best_edges: tuple[Arc, ...] = ()
     best_key: tuple[tuple[str, str], ...] = ()
     for edges in trees:
         product = 1.0
         for e in edges:
             product *= e.efficiency
-        key = tuple((e.u, e.v) for e in edges)
+        key = tuple((e.tail, e.head) for e in edges)
         if product > best_product or (product == best_product and key < best_key):
             best_product = product
             best_edges = edges

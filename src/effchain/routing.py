@@ -146,10 +146,12 @@ def multiplicative_search(
     unreached), the predecessor of each reached non-source node, and the
     settle order.  Stops as soon as ``target`` is settled; with
     target=None it settles every reachable node (used by the all-pairs
-    guaranteed-level sweep).
+    guaranteed-level sweep).  An unknown source or target raises
+    UnknownNode.
     """
     sign, source_id = _tie_sign(tie_break), _node_id(net, source)
-    return _labelled(net, *_product_sweep(net, source_id, net._index.get(target), sign))
+    target_id = None if target is None else _node_id(net, target)
+    return _labelled(net, *_product_sweep(net, source_id, target_id, sign))
 
 
 def additive_search(
@@ -168,7 +170,7 @@ def additive_search(
     """
     _check_base(base)
     sign, source_id = _tie_sign(tie_break), _node_id(net, source)
-    target_id = net._index.get(target)
+    target_id = None if target is None else _node_id(net, target)
     return _labelled(net, *_lossiness_sweep(net, source_id, target_id, base, sign))
 
 

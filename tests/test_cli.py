@@ -144,6 +144,16 @@ def test_lossiness_rejects_bad_inputs(capsys):
     assert run_cli(["lossiness", "0.5", "--base", "1"]) == 2
 
 
+def test_nan_base_exits_2(demo_file, capsys):
+    rc = run_cli(
+        ["best-chain", demo_file, "--from", "a", "--to", "z",
+         "--method", "lossiness", "--base", "nan"]
+    )
+    assert rc == 2
+    assert "log base" in capsys.readouterr().err
+    assert run_cli(["lossiness", "0.5", "--base", "nan"]) == 2
+
+
 def test_dot_subcommand(demo_file, capsys):
     assert run_cli(["dot", demo_file]) == 0
     out = capsys.readouterr().out

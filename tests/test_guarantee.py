@@ -30,7 +30,7 @@ def _triangle():
 
 def test_triangle_tree_drops_weakest_edge():
     level = guaranteed_min_by_tree(_triangle())
-    assert [(e.u, e.v) for e in level.tree.edges] == [("a", "b"), ("b", "c")]
+    assert [(e.tail, e.head) for e in level.tree.edges] == [("a", "b"), ("b", "c")]
     assert level.value == 0.9 * 0.8
     assert level.method == "tree"
 
@@ -66,6 +66,14 @@ def test_star_tree_bound_is_strictly_conservative():
 def test_tree_method_requires_symmetric():
     with pytest.raises(NotSymmetric):
         guaranteed_min_by_tree(build_network([("a", "b", 0.9, False)]))
+
+
+def test_tree_rejects_a_directed_arc_in_a_network():
+    mixed = build_network([("a", "b", 0.9, True), ("b", "c", 0.8, False)])
+    with pytest.raises(NotSymmetric):
+        max_product_spanning_tree(mixed)
+    with pytest.raises(NotSymmetric):
+        guaranteed_min_by_tree(mixed)
 
 
 def test_tree_method_requires_connected():
@@ -147,7 +155,7 @@ def test_kruskal_tie_break_is_lexicographic():
         [("a", "b", 0.9, True), ("a", "c", 0.9, True), ("b", "c", 0.9, True)]
     )
     tree = max_product_spanning_tree(as_symmetric(net))
-    assert [(e.u, e.v) for e in tree.edges] == [("a", "b"), ("a", "c")]
+    assert [(e.tail, e.head) for e in tree.edges] == [("a", "b"), ("a", "c")]
 
 
 def test_empty_and_single_node_trees():

@@ -204,7 +204,7 @@ def test_classify_random_mixed_networks_agree_with_raw_states():
 def test_as_symmetric_requires_undirected_only():
     sym = build_network([("a", "b", 0.9, True), ("b", "c", 0.8, True)])
     view = as_symmetric(sym)
-    assert [(e.u, e.v) for e in view.edges] == [("a", "b"), ("b", "c")]
+    assert [(e.tail, e.head) for e in view.arcs] == [("a", "b"), ("b", "c")]
     with pytest.raises(NotSymmetric):
         as_symmetric(build_network([("a", "b", 0.9, False)]))
 
@@ -246,6 +246,13 @@ def test_is_connected():
         )
     )
     assert not is_connected(cycle)
+
+
+def test_is_connected_ignores_direction():
+    # c is reached only against the arc's direction, yet it is joined.
+    mixed = build_network([("a", "b", 0.5, True), ("c", "b", 0.5, False)])
+    assert is_connected(mixed)
+    assert not is_connected(build_network([("a", "b", 0.5, False), ("c", "d", 0.5, True)]))
 
 
 def test_network_equality_and_hash():

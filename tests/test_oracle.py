@@ -122,11 +122,11 @@ def test_enumerated_trees_span_and_are_acyclic():
     view = as_symmetric(complete_undirected(4, rng))
     for edges in enumerate_spanning_trees(view):
         assert len(edges) == 3
-        touched = {e.u for e in edges} | {e.v for e in edges}
+        touched = {e.tail for e in edges} | {e.head for e in edges}
         assert touched == set(view.nodes)
         # n-1 edges touching all n nodes and connected: checked by the
         # enumerator itself; distinctness of edge pairs is worth asserting.
-        assert len({(e.u, e.v) for e in edges}) == 3
+        assert len({(e.tail, e.head) for e in edges}) == 3
 
 
 def test_brute_best_tree_on_disconnected_view():
@@ -143,7 +143,7 @@ def test_brute_best_tree_picks_heaviest_product():
     )
     product, edges = brute_best_tree(as_symmetric(net))
     assert product == 0.9 * 0.8
-    assert [(e.u, e.v) for e in edges] == [("a", "b"), ("b", "c")]
+    assert [(e.tail, e.head) for e in edges] == [("a", "b"), ("b", "c")]
 
 
 def test_all_subsets_of_a_tree_only_give_one_tree():

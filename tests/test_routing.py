@@ -62,13 +62,21 @@ def test_unknown_endpoints_rejected():
         multiplicative_search(net, "q")
 
 
+def test_unknown_target_rejected_by_both_sweeps():
+    net = build_network([("a", "b", 0.9, False)])
+    with pytest.raises(UnknownNode):
+        multiplicative_search(net, "a", target="nosuch")
+    with pytest.raises(UnknownNode):
+        additive_search(net, "a", target="nosuch")
+
+
 def test_bad_base_rejected():
     net = build_network([("a", "b", 0.9, False)])
     with pytest.raises(BadBase):
         best_chain_via_lossiness(net, "a", "b", base=1.0)
 
 
-@pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -2.0])
+@pytest.mark.parametrize("base", [1.0, 0.5, 0.0, -2.0, math.nan, math.inf])
 def test_bad_base_rejected_by_every_lossiness_entry_point(base):
     net = build_network([("a", "b", 0.9, False)])
     with pytest.raises(BadBase):
