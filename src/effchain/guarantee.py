@@ -7,20 +7,28 @@ Two routes to a floor on chain efficiency:
   product.  Every pair of nodes is joined inside the tree by a chain whose
   efficiency is at least the full product, so the product is a guaranteed
   level for the whole network.  Fast, but usually conservative.
-* guaranteed_min_all_pairs -- run the maximum-efficiency chain search from
-  every node and take the worst best-chain value over all ordered pairs.
-  Exact by construction, at the cost of n full searches.
+* guaranteed_min_all_pairs -- the worst best-chain value over all ordered
+  pairs, exact.  Each full search from a node bounds every other node's
+  eccentricity (the efficiency of its worst best chain), so only the few
+  sources that can still hold the worst pair are searched, not all n.
 
 The tree route needs no second graph type: a symmetric network's
 canonical arcs are its undirected edges, so the tree is a tuple of those
 Arcs and a tree path is a search over the Network they make up.
 """
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 from .errors import NotConnected, SomePairUnreachable
 from .network import Arc, Network, _DisjointSet, as_symmetric
 from .routing import Chain, _chain_nodes, _product_sweep, best_chain_multiplicative
+
+# A node is pruned once the lower bound on its eccentricity clears the best
+# level by this relative margin.  It covers rounding in the products the
+# bounds multiply, so every source whose eccentricity ties the minimum,
+# even one ulp away in the other order of a symmetric pair, is swept.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,8 @@ class GuaranteedLevel:
 
     ``method`` records how the floor was obtained ("tree" or "all-pairs").
     The tree route carries the tree itself; the exact route carries the
-    worst ordered pair and its best chain as a witness.
+    worst ordered pair and its best chain as a witness.  ``sweeps`` counts
+    the forward and backward searches the level ran (0 for the tree).
     """
 
     value: float
@@ -58,6 +67,7 @@ class GuaranteedLevel:
     tree: SpanningTree | None = None
     worst_pair: tuple[str, str] | None = None
     worst_chain: Chain | None = None
+    sweeps: int = 0
 
 
 def max_product_spanning_tree(net: Network) -> SpanningTree:
@@ -116,10 +126,89 @@ def tree_path(tree: SpanningTree, u: str, v: str) -> Chain | None:
 def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     """Exact guaranteed level: the worst best-chain over all ordered pairs.
 
-    Runs one full maximum-efficiency search per source node.  Applies to
-    any network, directed or not.  Raises SomePairUnreachable naming the
-    first ordered pair (in node order) that no chain joins.  A single-node
-    network has no pairs and is certified at level 1.
+    Applies to any network, directed or not, and returns the value,
+    witness pair and chain that a full search from every source would:
+    the first ordered pair (in node order) whose best chain is worst.  It
+    sweeps only sources that can still hold that pair, pruned by bounds on
+    each node's eccentricity, the efficiency of its worst best chain
+    (BoundingDiameters on symmetric networks, SumSweep's forward and
+    backward bounds on directed ones, both in product form).  Raises
+    SomePairUnreachable naming the first ordered pair that no chain joins.
+    A single-node network has no pairs and is certified at level 1.
+    """
+    nodes = net.nodes
+    n = len(nodes)
+    if n <= 1:
+        return GuaranteedLevel(value=1.0, method="all-pairs")
+    out = net._out
+    # Rows of steps into each node; an undirected link serves both ways,
+    # so a symmetric network's forward sweep is its backward sweep too.
+    into = out if all(arc.undirected for arc in net.arcs) else _reversed_rows(out)
+    lower = [0.0] * n  # lower[v] <= ecc(v)
+    upper = [1.0] * n  # ecc(v) <= upper[v]
+    swept = [False] * n
+    sweeps = 0
+    best_value, best_source = 2.0, n  # above any attainable efficiency
+    source = 0
+    while True:
+        sweeps += 1
+        weight, pred, _ = _product_sweep(out, source, None, 1)
+        back = weight
+        if into is not out:
+            sweeps += 1
+            back = _product_sweep(into, source, None, 1)[0]
+        ecc = min(weight.values())
+        if len(weight) < n or len(back) < n or ecc < sys.float_info.min:
+            # Some pair is unreached or its weight lost relative precision:
+            # the full loop names the same first pair, or fails, as before.
+            level = _all_pairs_full_sweep(net)
+            return replace(level, sweeps=sweeps + level.sweeps)
+        if ecc < best_value or (ecc == best_value and source < best_source):
+            best_value, best_source, best_weight, best_pred = ecc, source, weight, pred
+        swept[source] = True
+        # Through u, v reaches every target t at w(v, u) * w(u, t) or
+        # better, so w(v, u) * ecc(u) <= ecc(v); u is itself one of v's
+        # targets, so ecc(v) <= w(v, u).
+        for v in range(n):
+            w = back[v]
+            lower[v] = max(lower[v], w * ecc)
+            upper[v] = min(upper[v], w)
+        limit = best_value * (1.0 + _PRUNE_MARGIN)
+        left = [(upper[v], v) for v in range(n) if not swept[v] and lower[v] < limit]
+        if not left:
+            break
+        source = min(left)[1]
+    target = next(
+        t for t in range(n) if t != best_source and best_weight[t] == best_value
+    )
+    # A settled node's weight and predecessor never change, so this full
+    # sweep's chain is the one a search stopping at the target would find.
+    witness = Chain(_chain_nodes(net, best_pred, best_source, target), best_value)
+    return GuaranteedLevel(
+        value=best_value,
+        method="all-pairs",
+        worst_pair=(nodes[best_source], nodes[target]),
+        worst_chain=witness,
+        sweeps=sweeps,
+    )
+
+
+def _reversed_rows(
+    out: list[list[tuple[int, float]]],
+) -> list[list[tuple[int, float]]]:
+    """Per head id, the (tail id, efficiency) steps entering it, by tail id."""
+    rows: list[list[tuple[int, float]]] = [[] for _ in out]
+    for tail, row in enumerate(out):
+        for head, eta in row:
+            rows[head].append((tail, eta))
+    return rows
+
+
+def _all_pairs_full_sweep(net: Network) -> GuaranteedLevel:
+    """guaranteed_min_all_pairs by one full search from every source.
+
+    The reference the bounded level must match, and its fallback when a
+    pair is unreached or underflows.
     """
     nodes = net.nodes
     if len(nodes) <= 1:
@@ -127,7 +216,7 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     best_value = 2.0  # above any attainable efficiency
     best_pair: tuple[int, int] | None = None
     for source in range(len(nodes)):
-        weight, pred, _ = _product_sweep(net, source, None, 1)
+        weight, pred, _ = _product_sweep(net._out, source, None, 1)
         for target in range(len(nodes)):
             if target == source:
                 continue
@@ -139,12 +228,11 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
                 best_pair = (source, target)
                 best_pred = pred
     assert best_pair is not None
-    # A settled node's weight and predecessor never change, so this full
-    # sweep's chain is the one a search stopping at the target would find.
     witness = Chain(_chain_nodes(net, best_pred, *best_pair), best_value)
     return GuaranteedLevel(
         value=best_value,
         method="all-pairs",
         worst_pair=(nodes[best_pair[0]], nodes[best_pair[1]]),
         worst_chain=witness,
+        sweeps=len(nodes),
     )

@@ -64,10 +64,14 @@ def _node_id(net: Network, label: str) -> int:
 
 
 def _product_sweep(
-    net: Network, source: int, target: int | None, sign: int
+    adj: list[list[tuple[int, float]]], source: int, target: int | None, sign: int
 ) -> tuple[dict[int, float], dict[int, int], list[int]]:
-    """multiplicative_search over node ids, with ties settled by ``sign``."""
-    adj = net._out
+    """multiplicative_search over node ids, with ties settled by ``sign``.
+
+    ``adj`` lists each id's (neighbour id, efficiency) steps: ``net._out``
+    searches forward; rows reversed arc by arc search backward, giving the
+    best chain *into* ``source`` from every node.
+    """
     weight = {source: 1.0}
     pred: dict[int, int] = {}
     settled: set[int] = set()
@@ -151,7 +155,7 @@ def multiplicative_search(
     """
     sign, source_id = _tie_sign(tie_break), _node_id(net, source)
     target_id = None if target is None else _node_id(net, target)
-    return _labelled(net, *_product_sweep(net, source_id, target_id, sign))
+    return _labelled(net, *_product_sweep(net._out, source_id, target_id, sign))
 
 
 def additive_search(
@@ -198,7 +202,7 @@ def best_chain_multiplicative(
     source, target = _node_id(net, a), _node_id(net, z)
     if source == target:
         return Chain((a,), 1.0)
-    weight, pred, _ = _product_sweep(net, source, target, _tie_sign(tie_break))
+    weight, pred, _ = _product_sweep(net._out, source, target, _tie_sign(tie_break))
     if target not in pred:
         return None
     return Chain(_chain_nodes(net, pred, source, target), weight[target])

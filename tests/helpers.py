@@ -88,6 +88,22 @@ def random_connected_undirected(rng: random.Random, max_nodes: int = 6) -> Netwo
     return build_network(raws)
 
 
+def sparse_undirected(
+    rng: random.Random, n: int, draw: Callable[[], float] | None = None
+) -> Network:
+    """A connected undirected network on n nodes: a random tree plus 2n links.
+
+    ``draw`` picks each efficiency; by default uniform in (0, 1].
+    """
+    draw = draw or (lambda: 1.0 - rng.random())
+    names = [f"n{i:04d}" for i in range(n)]
+    pairs = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(pairs) < min(3 * n - 1, n * (n - 1) // 2):
+        i, j = sorted(rng.sample(range(n), 2))
+        pairs.add((i, j))
+    return build_network([(names[i], names[j], draw(), True) for i, j in sorted(pairs)])
+
+
 def complete_undirected(n: int, rng: random.Random) -> Network:
     """The complete undirected network on n nodes with random weights."""
     names = labels_for(n)

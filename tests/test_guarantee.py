@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -18,8 +19,16 @@ from effchain import (
     max_product_spanning_tree,
     tree_path,
 )
+from effchain.guarantee import _all_pairs_full_sweep
 from effchain.oracle import brute_best_tree
-from helpers import random_connected_undirected, random_tree, underflow_path
+from helpers import (
+    random_connected_undirected,
+    random_directed_network,
+    random_mixed_network,
+    random_tree,
+    sparse_undirected,
+    underflow_path,
+)
 
 
 def _triangle():
@@ -87,6 +96,78 @@ def test_all_pairs_reports_unreachable_pair():
     with pytest.raises(SomePairUnreachable) as exc_info:
         guaranteed_min_all_pairs(net)
     assert exc_info.value.pair == ("a", "b") or exc_info.value.pair == ("b", "a")
+
+
+def test_all_pairs_names_the_first_unreachable_pair():
+    # In node order: b reaches nothing, so (b, a) comes first.
+    with pytest.raises(SomePairUnreachable) as exc_info:
+        guaranteed_min_all_pairs(build_network([("a", "b", 0.9, False)]))
+    assert exc_info.value.pair == ("b", "a")
+    # A strongly connected core feeding a sink: a, b and c reach every
+    # node, the sink d reaches none, so (d, a) comes first.
+    core_and_sink = build_network(
+        [
+            ("a", "b", 0.9, False),
+            ("b", "c", 0.8, False),
+            ("c", "a", 0.7, False),
+            ("b", "d", 0.6, False),
+        ]
+    )
+    with pytest.raises(SomePairUnreachable) as exc_info:
+        guaranteed_min_all_pairs(core_and_sink)
+    assert exc_info.value.pair == ("d", "a")
+
+
+def _exact(level):
+    return (level.value, level.worst_pair, level.worst_chain)
+
+
+def _level_or_unreachable(level_fn, net):
+    try:
+        return _exact(level_fn(net))
+    except SomePairUnreachable as exc:
+        return ("unreachable", exc.pair)
+
+
+def test_bounded_level_matches_full_sweep():
+    rng = random.Random(605)
+
+    def ties():
+        return rng.choice((0.5, 0.9, 1.0))
+
+    makers = [
+        lambda: random_connected_undirected(rng, max_nodes=12),
+        lambda: sparse_undirected(rng, rng.randint(2, 40), draw=ties),
+        lambda: random_directed_network(rng, max_nodes=10),
+        lambda: random_mixed_network(rng, max_nodes=10),
+        lambda: random_mixed_network(rng, max_nodes=10, draw=ties),
+    ]
+    for _ in range(120):
+        for make in makers:
+            net = make()
+            assert _level_or_unreachable(
+                guaranteed_min_all_pairs, net
+            ) == _level_or_unreachable(_all_pairs_full_sweep, net)
+
+
+def test_bounded_level_sweeps_few_sources():
+    net = sparse_undirected(random.Random(606), 400)
+    level = guaranteed_min_all_pairs(net)
+    full = _all_pairs_full_sweep(net)
+    assert _exact(level) == _exact(full)
+    assert full.sweeps == len(net.nodes)
+    assert level.sweeps < len(net.nodes) // 4
+
+
+def test_bounded_level_falls_back_on_a_subnormal_level():
+    # 0.001^103 ~ 1e-309 is subnormal: relative bounds no longer hold, so
+    # the level runs the full loop after its first sweep.
+    names = [f"n{i:03d}" for i in range(104)]
+    net = build_network([(u, v, 0.001, True) for u, v in zip(names, names[1:])])
+    level = guaranteed_min_all_pairs(net)
+    assert 0.0 < level.value < sys.float_info.min
+    assert _exact(level) == _exact(_all_pairs_full_sweep(net))
+    assert level.sweeps == 1 + len(names)
 
 
 def test_all_pairs_on_directed_cycle():
@@ -204,9 +285,11 @@ def test_guaranteed_level_fields_by_method():
     tree = guaranteed_min_by_tree(net)
     assert tree.tree is not None
     assert tree.worst_pair is None
+    assert tree.sweeps == 0
     exact = guaranteed_min_all_pairs(net)
     assert exact.tree is None
     assert exact.worst_pair is not None
+    assert exact.sweeps > 0
 
 
 # Long-path underflow (ROADMAP items 2b and 2c): on the connected 1,101-node
@@ -229,3 +312,12 @@ def test_all_pairs_level_on_underflowing_path():
 def test_tree_level_on_underflowing_path():
     level = guaranteed_min_by_tree(underflow_path())
     assert 0.0 < level.value <= 1.0
+
+
+@_UNDERFLOW
+def test_tree_path_on_underflowing_path():
+    tree = max_product_spanning_tree(underflow_path())
+    path = tree_path(tree, "n0000", "n1100")
+    assert isinstance(path, Chain)
+    assert path.length == 1100
+    assert 0.0 < path.efficiency <= 1.0
