@@ -92,7 +92,7 @@ def _cmd_classify(args) -> int:
                 {
                     "kind": kind.value,
                     "nodes": len(net.nodes),
-                    "arcs": len(net.arcs),
+                    "arcs": len(net._effs),  # counted without building Arcs
                 }
             )
         )

@@ -84,12 +84,13 @@ def max_product_spanning_tree(net: Network) -> SpanningTree:
     nodes = as_symmetric(net).nodes
     if len(nodes) <= 1:
         return SpanningTree(nodes, ())
-    index = net._index
+    tails, heads, effs = net._tails, net._heads, net._effs
     dsu = _DisjointSet(len(nodes))
-    chosen: list[Arc] = []
-    for arc in sorted(net.arcs, key=lambda a: -a.efficiency):
-        if dsu.union(index[arc.tail], index[arc.head]):
-            chosen.append(arc)
+    chosen: list[int] = []
+    # Arc indices, most efficient first; reverse=True keeps the sort stable.
+    for i in sorted(range(len(effs)), key=effs.__getitem__, reverse=True):
+        if dsu.union(tails[i], heads[i]):
+            chosen.append(i)
             if len(chosen) == len(nodes) - 1:
                 break
     if len(chosen) < len(nodes) - 1:
@@ -97,8 +98,10 @@ def max_product_spanning_tree(net: Network) -> SpanningTree:
             f"network is not connected: spanning tree needs {len(nodes) - 1} "
             f"edges, found {len(chosen)}"
         )
-    chosen.sort(key=lambda a: (a.tail, a.head))
-    return SpanningTree(nodes, tuple(chosen))
+    # Ascending arc index is canonical (tail, head) order.
+    chosen.sort()
+    edges = tuple(Arc(nodes[tails[i]], nodes[heads[i]], effs[i], True) for i in chosen)
+    return SpanningTree(nodes, edges)
 
 
 def guaranteed_min_by_tree(net: Network) -> GuaranteedLevel:
@@ -143,7 +146,7 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     out = net._out
     # Rows of steps into each node; an undirected link serves both ways,
     # so a symmetric network's forward sweep is its backward sweep too.
-    into = out if all(arc.undirected for arc in net.arcs) else _reversed_rows(out)
+    into = out if 0 not in net._undirected else _reversed_rows(out)
     lower = [0.0] * n  # lower[v] <= ecc(v)
     upper = [1.0] * n  # ecc(v) <= upper[v]
     swept = [False] * n

@@ -8,9 +8,15 @@ Node labels are plain strings (non-empty, no commas, no whitespace), and
 every iteration order in the package is ascending by label so runs are
 reproducible.  A Network interns its labels once, in ascending order:
 node id ``i`` is ``nodes[i]``, so ordering by id is ordering by label.
-Its one adjacency lists, per id, the (head id, efficiency) steps leaving
-that node in ascending id order; every lookup and both search routes
-read it.  Among nodes of equal weight a search settles the smaller label
+
+A Network stores its arcs as columns in canonical (tail, head) order:
+tail ids and head ids (``array('i')``), efficiencies (``array('d')``) and
+undirected flags (a ``bytearray``).  Its one adjacency lists, per id, the
+(head id, efficiency) steps leaving that node in ascending id order;
+every lookup and both search routes read it.  The ``arcs`` tuple of Arc
+objects is built from the columns only when something reads it, and
+then kept: loading, searching, the guaranteed levels and rendering never
+need it.  Among nodes of equal weight a search settles the smaller label
 first under tie_break="low" and the larger under "high".
 
 A symmetric network needs no second representation: each of its arcs is
@@ -23,9 +29,12 @@ across threads; each query owns its own working state.
 """
 
 import re
+from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, compress, count, starmap
 
 from .algebra import check_efficiency
 from .errors import (
@@ -80,26 +89,55 @@ class Network:
     """An immutable arc-weighted directed graph with optional undirected links.
 
     Use build_network() to construct one; it validates arcs and performs
-    the opposite-arc merge.  The constructor itself assumes canonical,
-    already-validated input.
+    the opposite-arc merge.  The constructor itself assumes validated
+    input: ascending labels, and at most one arc per (tail, head), each
+    undirected one with tail < head.  It puts the arcs in canonical order.
+
+    The arcs live in four columns, indexed alike and sorted by (tail id,
+    head id): ``_tails``, ``_heads``, ``_effs`` and ``_undirected``.
+    Equality and hashing compare the labels and these columns; ``arcs``
+    builds its Arc tuple from them on first read.
     """
 
-    __slots__ = ("_nodes", "_arcs", "_index", "_out")
+    __slots__ = ("_nodes", "_index", "_tails", "_heads", "_effs", "_undirected", "_out", "_arcs")
 
     def __init__(self, nodes: tuple[str, ...], arcs: tuple[Arc, ...]):
-        self._nodes = nodes
-        self._arcs = arcs
         index = {label: i for i, label in enumerate(nodes)}
-        out: list[list[tuple[int, float]]] = [[] for _ in nodes]
-        for arc in arcs:
-            tail, head = index[arc.tail], index[arc.head]
-            out[tail].append((head, arc.efficiency))
-            if arc.undirected:
-                out[head].append((tail, arc.efficiency))
-        for row in out:
-            row.sort()
+        arcs = tuple(sorted(arcs, key=lambda a: (index[a.tail], index[a.head])))
+        self._init(
+            nodes,
+            index,
+            array("i", [index[a.tail] for a in arcs]),
+            array("i", [index[a.head] for a in arcs]),
+            array("d", [a.efficiency for a in arcs]),
+            bytearray([bool(a.undirected) for a in arcs]),
+            arcs,
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        nodes: tuple[str, ...],
+        index: dict[str, int],
+        tails: array,
+        heads: array,
+        effs: array,
+        undirected: bytearray,
+    ) -> "Network":
+        """A Network over canonical columns, its Arc tuple not yet built."""
+        net = cls.__new__(cls)
+        net._init(nodes, index, tails, heads, effs, undirected, None)
+        return net
+
+    def _init(self, nodes, index, tails, heads, effs, undirected, arcs) -> None:
+        self._nodes = nodes
         self._index = index
-        self._out = out
+        self._tails = tails
+        self._heads = heads
+        self._effs = effs
+        self._undirected = undirected
+        self._out = _adjacency(list(index.values()), tails, heads, effs, undirected)
+        self._arcs = arcs
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -108,8 +146,28 @@ class Network:
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
-        """All arcs in canonical (tail, head) order."""
-        return self._arcs
+        """All arcs in canonical (tail, head) order.
+
+        Built from the columns on first read and kept.  Two threads that
+        race here build equal tuples, so either may win.
+        """
+        arcs = self._arcs
+        if arcs is None:
+            arcs = self._arcs = tuple(starmap(Arc, self._arc_rows()))
+        return arcs
+
+    def _arc_rows(self):
+        """(tail, head, efficiency, undirected) per arc, in canonical order.
+
+        Reads the columns, so no Arc is built.
+        """
+        label = self._nodes.__getitem__
+        return zip(
+            map(label, self._tails),
+            map(label, self._heads),
+            self._effs,
+            map(bool, self._undirected),
+        )
 
     def out_neighbors(self, u: str) -> list[tuple[str, float]]:
         """Nodes reachable from ``u`` in one service-carrying step.
@@ -151,13 +209,44 @@ class Network:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
             return NotImplemented
-        return self._nodes == other._nodes and self._arcs == other._arcs
+        return self._nodes == other._nodes and self._columns() == other._columns()
 
     def __hash__(self):
-        return hash((self._nodes, self._arcs))
+        # tuple(effs), not its bytes: 0.0 and -0.0 are equal and hash alike.
+        return hash((self._nodes, self._tails.tobytes(), self._heads.tobytes(), tuple(self._effs)))
+
+    def _columns(self) -> tuple[array, array, array, bytearray]:
+        return self._tails, self._heads, self._effs, self._undirected
 
     def __repr__(self) -> str:
-        return f"Network({len(self._nodes)} nodes, {len(self._arcs)} arcs)"
+        return f"Network({len(self._nodes)} nodes, {len(self._effs)} arcs)"
+
+
+def _adjacency(
+    ids: list[int], tails: array, heads: array, effs: array, undirected: bytearray
+) -> list[list[tuple[int, float]]]:
+    """Per node id, the (head id, efficiency) steps leaving it, by head id.
+
+    The columns are in canonical order, so a node's directed arcs and the
+    links it is the tail of form one run of ascending heads: its row is
+    that run.  A row that also gains the reverse step of a link is sorted
+    once at the end.  Steps hold the int objects of ``ids`` (the index's
+    values), not one int per step: the searches' dicts and sets keyed by
+    id then match a step's id by identity, their fast path.  A link's two
+    steps share one float.
+    """
+    counts = [0] * len(ids)
+    for tail in tails:
+        counts[tail] += 1
+    steps = list(zip(map(ids.__getitem__, heads), effs))
+    out = [steps[a:b] for a, b in zip(accumulate(counts, initial=0), accumulate(counts))]
+    touched = set()
+    for tail, (head, eta) in compress(zip(tails, steps), undirected):
+        out[head].append((ids[tail], eta))
+        touched.add(head)
+    for head in touched:
+        out[head].sort()
+    return out
 
 
 class _DisjointSet:
@@ -198,85 +287,148 @@ def build_network(raw_arcs: list[RawArc] | tuple[RawArc, ...]) -> Network:
     the smaller label).  Opposite arcs with different efficiencies are
     both kept.  Rebuilding from a built network's arcs reproduces it.
     """
-    return _build_network(raw_arcs, None)
+    endpoints: list[str] = []
+    effs: list[float] = []
+    undirected = bytearray()
+    for tail, head, eta, undir in raw_arcs:
+        endpoints.append(tail)
+        endpoints.append(head)
+        effs.append(eta)
+        undirected.append(bool(undir))
+    return _build_network(endpoints, effs, undirected, None)
 
 
 def _build_network(
-    raw_arcs: list[RawArc] | tuple[RawArc, ...], lines: list[int] | None
+    labels: list[str],
+    effs: Sequence[float],
+    undirected: bytearray,
+    lines: Sequence[int] | None,
 ) -> Network:
-    """build_network, with ``lines[i]`` the file line of ``raw_arcs[i]``.
+    """build_network on columns: ``labels`` holds each arc's tail and then
+    its head, and ``lines[i]`` is the file line of arc ``i``.
 
-    Every error carries the line of the arc that raised it, and a
-    duplicate cites the line of its first declaration.
+    The one validation pass.  Every error carries the line of the arc that
+    raised it, and a duplicate cites the line of its first declaration.
+    Labels get ids in the order they are first seen, the duplicate and
+    conflict checks key on ``low_id << 32 | high_id``, and ids are
+    remapped to label order once at the end, so the per-arc loop builds
+    no tuple and compares no labels.  ``labels`` is emptied before the
+    adjacency is built, so the collector does not trace it meanwhile.
     """
-    # (tail, head) -> (efficiency, line); undirected keys have tail < head.
-    directed: dict[tuple[str, str], tuple[float, int | None]] = {}
-    undirected: dict[tuple[str, str], tuple[float, int | None]] = {}
-    nodes: set[str] = set()
+    # A label's id is its position in ``labels`` where it first appears:
+    # arc i's tail is new where its id is 2i, its head where it is 2i + 1.
+    first_at: dict[str, int] = {}
+    ids = array("i", map(first_at.setdefault, labels, count()))
+    tail_ids = ids[::2]
+    head_ids = ids[1::2]
+    del ids
+    # The first arc on each unordered pair, keyed low_id << 32 | high_id,
+    # and the second where a pair holds two opposite directed arcs.
+    pairs: dict[int, int] = {}
+    seconds: dict[int, int] = {}
 
-    for i, (tail, head, eta, undir) in enumerate(raw_arcs):
-        line = None if lines is None else lines[i]
-        for label in (tail, head):
-            if label not in nodes:
-                validate_label(label, line=line)
-                nodes.add(label)
-        if tail == head:
-            raise SelfLoop(f"self-loop on node {tail!r}", line=line, pair=(tail, head))
-        check_efficiency(eta, line=line, pair=(tail, head))
-        unordered = (tail, head) if tail < head else (head, tail)
-        if undir:
-            if unordered in undirected:
-                raise DuplicateArc(
-                    f"undirected link {unordered[0]!r} -- {unordered[1]!r} "
-                    f"already declared{_on_line(undirected[unordered][1])}",
-                    line=line,
-                    pair=unordered,
-                )
-            if (tail, head) in directed or (head, tail) in directed:
-                raise ConflictingArc(
-                    f"pair {unordered[0]!r} -- {unordered[1]!r} already has a "
-                    "directed arc",
-                    line=line,
-                    pair=unordered,
-                )
-            undirected[unordered] = (eta, line)
-        else:
-            if (tail, head) in directed:
-                raise DuplicateArc(
-                    f"arc {tail!r} -> {head!r} already declared"
-                    f"{_on_line(directed[(tail, head)][1])}",
-                    line=line,
-                    pair=(tail, head),
-                )
-            if unordered in undirected:
-                raise ConflictingArc(
-                    f"pair {unordered[0]!r} -- {unordered[1]!r} already has an "
-                    "undirected link",
-                    line=line,
-                    pair=(tail, head),
-                )
-            directed[(tail, head)] = (eta, line)
+    for i, (t, h, eta, undir) in enumerate(zip(tail_ids, head_ids, effs, undirected)):
+        if t == 2 * i:
+            validate_label(labels[t], line=_line(lines, i))
+        if h > 2 * i:
+            validate_label(labels[h], line=_line(lines, i))
+        if t == h:
+            tail = labels[t]
+            raise SelfLoop(f"self-loop on node {tail!r}", line=_line(lines, i), pair=(tail, tail))
+        if not 0.0 < eta <= 1.0:
+            check_efficiency(eta, line=_line(lines, i), pair=(labels[t], labels[h]))
+        link = t << 32 | h if t < h else h << 32 | t
+        first = pairs.setdefault(link, i)
+        if first != i:
+            # A pair takes a second arc only as the opposite of a directed one.
+            tail, head = labels[t], labels[h]
+            if undir:
+                if undirected[first]:
+                    raise _duplicate(tail, head, True, lines, i, first)
+                raise _conflict(tail, head, True, lines, i)
+            if undirected[first]:
+                raise _conflict(tail, head, False, lines, i)
+            if tail_ids[first] == t:
+                raise _duplicate(tail, head, False, lines, i, first)
+            second = seconds.setdefault(link, i)
+            if second != i:
+                raise _duplicate(tail, head, False, lines, i, second)
 
-    # Merge opposite directed arcs of (tolerably) equal efficiency.
-    arcs: list[Arc] = []
-    for (tail, head), (eta, line) in directed.items():
-        if tail < head and (head, tail) in directed:
-            if abs(eta - directed[(head, tail)][0]) <= MERGE_TOLERANCE:
-                undirected[(tail, head)] = (eta, line)
-                continue
-        elif tail > head and (head, tail) in directed:
-            if abs(eta - directed[(head, tail)][0]) <= MERGE_TOLERANCE:
-                continue  # merged when the opposite arc was visited
-        arcs.append(Arc(tail, head, eta, undirected=False))
-    for (u, v), (eta, _) in undirected.items():
-        arcs.append(Arc(u, v, eta, undirected=True))
+    n = len(first_at)
+    order = sorted(first_at.values(), key=labels.__getitem__)
+    rank = array("i", [0]) * len(labels)
+    for r, j in enumerate(order):
+        rank[j] = r
+    flags = bytearray(undirected)
+    dropped = []
+    for link, i in seconds.items():
+        j = pairs[link]
+        if abs(effs[i] - effs[j]) <= MERGE_TOLERANCE:
+            # One link, carrying the arc whose tail is the smaller label.
+            keep, drop = (i, j) if rank[tail_ids[i]] < rank[tail_ids[j]] else (j, i)
+            flags[keep] = 1
+            dropped.append(drop)
+    # One int per arc sorts into canonical (tail, head) order and still
+    # names the arc and whether it is undirected; a link's tail is its
+    # smaller label.
+    node_bits = max(n - 1, 1).bit_length()
+    arc_bits = len(flags).bit_length() + 1
+    keys = [
+        ((rh << node_bits | rt) if u and rt > rh else (rt << node_bits | rh)) << arc_bits | i | u
+        for i, rt, rh, u in zip(
+            range(0, 2 * len(flags), 2),
+            map(rank.__getitem__, tail_ids),
+            map(rank.__getitem__, head_ids),
+            flags,
+        )
+    ]
+    for i in dropped:
+        keys[i] = -1
+    keys.sort()
+    del keys[: len(dropped)]
+    nodes = tuple([labels[j] for j in order])
+    node_mask = (1 << node_bits) - 1
+    arc_mask = (1 << arc_bits) - 1
+    tails_c = array("i", [k >> (arc_bits + node_bits) for k in keys])
+    heads_c = array("i", [k >> arc_bits & node_mask for k in keys])
+    effs_c = array("d", [effs[(k & arc_mask) >> 1] for k in keys])
+    flags_c = bytearray([k & 1 for k in keys])
+    del keys, order
+    labels.clear()
+    return Network._from_columns(
+        nodes, dict(zip(nodes, range(n))), tails_c, heads_c, effs_c, flags_c
+    )
 
-    arcs.sort(key=lambda a: (a.tail, a.head))
-    return Network(tuple(sorted(nodes)), tuple(arcs))
+
+def _line(lines: Sequence[int] | None, i: int) -> int | None:
+    return None if lines is None else lines[i]
 
 
-def _on_line(line: int | None) -> str:
-    return "" if line is None else f" on line {line}"
+def _unordered(tail: str, head: str) -> tuple[str, str]:
+    return (tail, head) if tail < head else (head, tail)
+
+
+def _duplicate(tail, head, undir, lines, i, first) -> DuplicateArc:
+    """The error for arc ``i``, which repeats arc ``first``."""
+    on_line = "" if lines is None else f" on line {lines[first]}"
+    if undir:
+        pair = _unordered(tail, head)
+        what = f"undirected link {pair[0]!r} -- {pair[1]!r}"
+    else:
+        pair = (tail, head)
+        what = f"arc {tail!r} -> {head!r}"
+    return DuplicateArc(f"{what} already declared{on_line}", line=_line(lines, i), pair=pair)
+
+
+def _conflict(tail, head, undir, lines, i) -> ConflictingArc:
+    """The error for arc ``i``, whose pair already holds an arc of the other mode."""
+    u, v = _unordered(tail, head)
+    held = "a directed arc" if undir else "an undirected link"
+    return ConflictingArc(
+        f"pair {u!r} -- {v!r} already has {held}",
+        line=_line(lines, i),
+        pair=(u, v) if undir else (tail, head),
+    )
 
 
 def classify(net: Network) -> NetworkKind:
@@ -288,19 +440,18 @@ def classify(net: Network) -> NetworkKind:
     links, asymmetric when some pair kept two unequal directed arcs.
     Mixed: anything else.
     """
-    any_both_ways = False
-    all_both_ways = True
-    any_directed_pair = False
-    for arc in net.arcs:
-        if arc.undirected:
-            any_both_ways = True
-        # No undirected link shares a directed arc's pair, so a reverse
-        # step here is a second directed arc.
-        elif net.has_step(arc.head, arc.tail):
-            any_both_ways = True
-            any_directed_pair = True
-        else:
-            all_both_ways = False
+    # tail_id << 32 | head_id of each directed arc; a pair keeps arcs both
+    # ways only when their efficiencies differ.
+    directed = {
+        t << 32 | h
+        for t, h, undir in zip(net._tails, net._heads, net._undirected)
+        if not undir
+    }
+    # Per directed arc, whether the opposite arc is there too.
+    paired = [(key & 0xFFFFFFFF) << 32 | key >> 32 in directed for key in directed]
+    any_directed_pair = any(paired)
+    any_both_ways = any_directed_pair or 1 in net._undirected
+    all_both_ways = all(paired)
     if not any_both_ways:
         return NetworkKind.ONE_SIDED
     if all_both_ways:
@@ -318,17 +469,16 @@ def as_symmetric(net: Network) -> Network:
     as an unordered weighted edge.  Raises NotSymmetric if any
     directed-only arc is present.
     """
-    for arc in net.arcs:
-        if not arc.undirected:
-            raise NotSymmetric(
-                f"directed arc {arc.tail!r} -> {arc.head!r} has no undirected view"
-            )
+    i = net._undirected.find(0)
+    if i >= 0:
+        tail, head = net._nodes[net._tails[i]], net._nodes[net._heads[i]]
+        raise NotSymmetric(f"directed arc {tail!r} -> {head!r} has no undirected view")
     return net
 
 
 def is_connected(net: Network) -> bool:
     """True iff every node is reachable from every other, ignoring direction."""
-    index = net._index
-    dsu = _DisjointSet(len(index))
-    joins = sum(dsu.union(index[arc.tail], index[arc.head]) for arc in net.arcs)
-    return joins >= len(index) - 1
+    n = len(net.nodes)
+    dsu = _DisjointSet(n)
+    joins = sum(dsu.union(t, h) for t, h in zip(net._tails, net._heads))
+    return joins >= n - 1

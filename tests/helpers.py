@@ -5,7 +5,18 @@ import string
 from collections.abc import Callable
 from itertools import combinations
 
-from effchain import Network, build_network
+from effchain import (
+    MERGE_TOLERANCE,
+    Arc,
+    ConflictingArc,
+    DuplicateArc,
+    Network,
+    ParseError,
+    SelfLoop,
+    build_network,
+    check_efficiency,
+    validate_label,
+)
 from effchain.network import RawArc
 
 
@@ -143,3 +154,138 @@ def underflow_path(links: int = 1100) -> Network:
     """
     names = [f"n{i:04d}" for i in range(links + 1)]
     return build_network([(u, v, 0.5, True) for u, v in zip(names, names[1:])])
+
+
+def reference_build(
+    raw_arcs: list[RawArc] | tuple[RawArc, ...], lines: list[int] | None
+) -> Network:
+    """The validation pass effchain used before its columnar load, kept verbatim.
+
+    build_network, with ``lines[i]`` the file line of ``raw_arcs[i]``:
+    the oracle the columnar pass is checked against.  Every error carries
+    the line of the arc that raised it, and a duplicate cites the line of
+    its first declaration.
+    """
+    # (tail, head) -> (efficiency, line); undirected keys have tail < head.
+    directed: dict[tuple[str, str], tuple[float, int | None]] = {}
+    undirected: dict[tuple[str, str], tuple[float, int | None]] = {}
+    nodes: set[str] = set()
+
+    for i, (tail, head, eta, undir) in enumerate(raw_arcs):
+        line = None if lines is None else lines[i]
+        for label in (tail, head):
+            if label not in nodes:
+                validate_label(label, line=line)
+                nodes.add(label)
+        if tail == head:
+            raise SelfLoop(f"self-loop on node {tail!r}", line=line, pair=(tail, head))
+        check_efficiency(eta, line=line, pair=(tail, head))
+        unordered = (tail, head) if tail < head else (head, tail)
+        if undir:
+            if unordered in undirected:
+                raise DuplicateArc(
+                    f"undirected link {unordered[0]!r} -- {unordered[1]!r} "
+                    f"already declared{_on_line(undirected[unordered][1])}",
+                    line=line,
+                    pair=unordered,
+                )
+            if (tail, head) in directed or (head, tail) in directed:
+                raise ConflictingArc(
+                    f"pair {unordered[0]!r} -- {unordered[1]!r} already has a "
+                    "directed arc",
+                    line=line,
+                    pair=unordered,
+                )
+            undirected[unordered] = (eta, line)
+        else:
+            if (tail, head) in directed:
+                raise DuplicateArc(
+                    f"arc {tail!r} -> {head!r} already declared"
+                    f"{_on_line(directed[(tail, head)][1])}",
+                    line=line,
+                    pair=(tail, head),
+                )
+            if unordered in undirected:
+                raise ConflictingArc(
+                    f"pair {unordered[0]!r} -- {unordered[1]!r} already has an "
+                    "undirected link",
+                    line=line,
+                    pair=(tail, head),
+                )
+            directed[(tail, head)] = (eta, line)
+
+    # Merge opposite directed arcs of (tolerably) equal efficiency.
+    arcs: list[Arc] = []
+    for (tail, head), (eta, line) in directed.items():
+        if tail < head and (head, tail) in directed:
+            if abs(eta - directed[(head, tail)][0]) <= MERGE_TOLERANCE:
+                undirected[(tail, head)] = (eta, line)
+                continue
+        elif tail > head and (head, tail) in directed:
+            if abs(eta - directed[(head, tail)][0]) <= MERGE_TOLERANCE:
+                continue  # merged when the opposite arc was visited
+        arcs.append(Arc(tail, head, eta, undirected=False))
+    for (u, v), (eta, _) in undirected.items():
+        arcs.append(Arc(u, v, eta, undirected=True))
+
+    arcs.sort(key=lambda a: (a.tail, a.head))
+    return Network(tuple(sorted(nodes)), tuple(arcs))
+
+
+def _on_line(line: int | None) -> str:
+    return "" if line is None else f" on line {line}"
+
+
+def reference_parse(text: str) -> Network:
+    """parse_network as it was before its columnar load, kept verbatim.
+
+    Its syntax pass splits lines with str.splitlines(), so give it text
+    whose only line ends are LF, CRLF or CR.
+    """
+    raws: list[RawArc] = []
+    lines: list[int] = []
+    saw_line = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) not in (3, 4):
+            raise ParseError(
+                f"expected 3 or 4 comma-separated fields, got {len(fields)}",
+                line=lineno,
+            )
+        try:
+            eta = float(fields[2])
+        except ValueError:
+            if not saw_line and not any(ch.isdigit() for ch in fields[2]):
+                saw_line = True
+                continue  # header line
+            raise ParseError(
+                f"efficiency {fields[2]!r} is not a number", line=lineno
+            ) from None
+        saw_line = True
+        undir = False
+        if len(fields) == 4:
+            mode = fields[3]
+            if mode == "undir":
+                undir = True
+            elif mode != "dir":
+                raise ParseError(
+                    f"mode must be 'dir' or 'undir', got {mode!r}", line=lineno
+                )
+        raws.append((fields[0], fields[1], eta, undir))
+        lines.append(lineno)
+    return reference_build(raws, lines)
+
+
+def reference_out(net: Network) -> dict[str, list[tuple[str, float]]]:
+    """Each node's out-neighbours, built from ``net.arcs`` as effchain did
+    before its columnar load: one append per step, then every row sorted."""
+    out: dict[str, list[tuple[str, float]]] = {u: [] for u in net.nodes}
+    for arc in net.arcs:
+        out[arc.tail].append((arc.head, arc.efficiency))
+        if arc.undirected:
+            out[arc.head].append((arc.tail, arc.efficiency))
+    for row in out.values():
+        row.sort()
+    return out

@@ -79,6 +79,13 @@ def test_malformed_csv_exits_2(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_non_utf8_file_exits_2_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "net.csv"
+    path.write_bytes(b"a,b,0.9\r\nb\x85,c,0.8\nc,d,0.7\n")
+    assert run_cli(["classify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
 def test_guaranteed_min_tree_plain(tmp_path, capsys):
     path = _write(tmp_path, TRIANGLE)
     assert run_cli(["guaranteed-min", path]) == 0

@@ -52,6 +52,23 @@ def test_parse_crlf():
     assert net.nodes == ("a", "b", "c")
 
 
+def test_parse_counts_only_cr_and_lf_as_line_ends():
+    # str.splitlines() also breaks at \f and friends, which shifted every
+    # later line number by one.
+    with pytest.raises(EfficiencyOutOfRange) as exc_info:
+        parse_network("tail,head,efficiency\na,b,0.5\f\nc,d,2.0\n")
+    assert exc_info.value.line == 3
+    net = parse_network("a,b,0.9\rb,c,0.8\r\nc,d,0.7\n")
+    assert net.nodes == ("a", "b", "c", "d")
+
+
+@pytest.mark.parametrize("stray", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_stray_line_break_character_in_a_label_is_a_bad_label(stray):
+    with pytest.raises(BadLabel) as exc_info:
+        parse_network(f"a,b,0.9\nb{stray}c,d,0.8\n")
+    assert exc_info.value.line == 2
+
+
 def test_parse_empty_text_gives_empty_network():
     assert parse_network("").nodes == ()
     assert parse_network("\n\n").nodes == ()
@@ -162,6 +179,14 @@ def test_read_network(tmp_path):
     path = tmp_path / "net.csv"
     path.write_text("a,b,0.9\n", encoding="utf-8")
     assert read_network(path).nodes == ("a", "b")
+
+
+def test_read_network_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_bytes(b"a,b,0.9\rb,c,0.8\r\nc,d,\xff0.7\n")
+    with pytest.raises(ParseError, match="UTF-8") as exc_info:
+        read_network(path)
+    assert exc_info.value.line == 3
 
 
 def test_to_dot_marks_undirected():

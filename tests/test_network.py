@@ -14,9 +14,16 @@ from effchain import (
     SelfLoop,
     UnknownNode,
     as_symmetric,
+    best_chain_multiplicative,
+    best_chain_via_lossiness,
     build_network,
     classify,
+    guaranteed_min_all_pairs,
+    guaranteed_min_by_tree,
     is_connected,
+    parse_network,
+    render_network,
+    to_dot,
     validate_label,
 )
 from helpers import random_mixed_network
@@ -262,3 +269,26 @@ def test_network_equality_and_hash():
     assert net1 == net2
     assert hash(net1) == hash(net2)
     assert net1 != net3
+
+
+def test_queries_levels_and_rendering_build_no_arcs():
+    # Only a read of net.arcs builds the Arc tuple; on a 50k-node network
+    # every other caller would otherwise pay for 100k Arcs.
+    net = parse_network(
+        "a,b,0.9,undir\nb,c,0.8,undir\nc,a,0.5,undir\nc,d,0.7,undir\n"
+    )
+    for route in (best_chain_multiplicative, best_chain_via_lossiness):
+        for tie in ("low", "high"):
+            assert route(net, "a", "d", tie_break=tie) is not None
+    assert guaranteed_min_all_pairs(net).worst_pair is not None
+    assert guaranteed_min_by_tree(net).tree.edges
+    render_network(net)
+    to_dot(net)
+    classify(net)
+    assert is_connected(as_symmetric(net))
+    directed = parse_network("a,b,0.9\nb,c,0.8\nc,a,0.7\n")
+    assert guaranteed_min_all_pairs(directed).value == pytest.approx(0.56)
+    for loaded in (net, directed):
+        assert loaded._arcs is None
+    assert net.arcs[0] == Arc("a", "b", 0.9, undirected=True)
+    assert net.arcs is net.arcs  # built once, then kept
