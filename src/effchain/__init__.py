@@ -44,7 +44,6 @@ from .errors import (
 from .fixtures import demo_energy_network
 from .guarantee import (
     GuaranteedLevel,
-    SpanningTree,
     guaranteed_min_all_pairs,
     guaranteed_min_by_tree,
     max_product_spanning_tree,
@@ -96,7 +95,6 @@ __all__ = [
     "SelfLoop",
     "SizeLimitExceeded",
     "SomePairUnreachable",
-    "SpanningTree",
     "UnknownNode",
     "WrongArity",
     "additive_search",

@@ -64,7 +64,7 @@ def _cmd_guaranteed_min(args) -> int:
         payload: dict = {"value": round(level.value, 8), "method": level.method}
         if level.tree is not None:
             payload["tree"] = [
-                [e.tail, e.head, e.efficiency] for e in level.tree.edges
+                [e.tail, e.head, e.efficiency] for e in level.tree.arcs
             ]
         if level.worst_pair is not None:
             payload["worst_pair"] = list(level.worst_pair)
@@ -74,7 +74,7 @@ def _cmd_guaranteed_min(args) -> int:
         print(f"{level.value:.8f}")
         print(f"method: {level.method}")
         if level.tree is not None:
-            edges = " ".join(f"{e.tail}--{e.head}" for e in level.tree.edges)
+            edges = " ".join(f"{e.tail}--{e.head}" for e in level.tree.arcs)
             print(f"tree: {edges}")
         if level.worst_pair is not None:
             u, v = level.worst_pair
@@ -203,10 +203,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SomePairUnreachable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except EffchainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EffchainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

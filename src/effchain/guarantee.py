@@ -13,15 +13,18 @@ Two routes to a floor on chain efficiency:
   sources that can still hold the worst pair are searched, not all n.
 
 The tree route needs no second graph type: a symmetric network's
-canonical arcs are its undirected edges, so the tree is a tuple of those
-Arcs and a tree path is a search over the Network they make up.
+canonical arcs are its undirected edges, so the tree is the Network over
+the chosen ones, kept in canonical order, and a tree path is a search
+over that Network.
 """
 
+import math
 import sys
+from array import array
 from dataclasses import dataclass, replace
 
 from .errors import NotConnected, SomePairUnreachable
-from .network import Arc, Network, _DisjointSet, as_symmetric
+from .network import Network, _DisjointSet, as_symmetric
 from .routing import Chain, _chain_nodes, _product_sweep, best_chain_multiplicative
 
 # A node is pruned once the lower bound on its eccentricity clears the best
@@ -32,45 +35,25 @@ _PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
-class SpanningTree:
-    """A spanning tree of a symmetric network.
-
-    ``edges`` holds undirected Arcs (tail < head) kept sorted by endpoints
-    so that the product below is always accumulated in the same order,
-    regardless of how the tree was discovered.
-    """
-
-    nodes: tuple[str, ...]
-    edges: tuple[Arc, ...]
-
-    @property
-    def product(self) -> float:
-        """Product of all edge efficiencies; 1.0 for a single-node tree."""
-        result = 1.0
-        for edge in self.edges:
-            result *= edge.efficiency
-        return result
-
-
-@dataclass(frozen=True)
 class GuaranteedLevel:
     """A certified floor on pairwise chain efficiency.
 
     ``method`` records how the floor was obtained ("tree" or "all-pairs").
-    The tree route carries the tree itself; the exact route carries the
-    worst ordered pair and its best chain as a witness.  ``sweeps`` counts
-    the forward and backward searches the level ran (0 for the tree).
+    The tree route carries the tree itself, as a Network; the exact route
+    carries the worst ordered pair and its best chain as a witness.
+    ``sweeps`` counts the forward and backward searches the level ran (0
+    for the tree).
     """
 
     value: float
     method: str
-    tree: SpanningTree | None = None
+    tree: Network | None = None
     worst_pair: tuple[str, str] | None = None
     worst_chain: Chain | None = None
     sweeps: int = 0
 
 
-def max_product_spanning_tree(net: Network) -> SpanningTree:
+def max_product_spanning_tree(net: Network) -> Network:
     """Kruskal's construction of the maximum-product spanning tree.
 
     Because every efficiency lies in (0, 1], maximizing the product is the
@@ -78,12 +61,12 @@ def max_product_spanning_tree(net: Network) -> SpanningTree:
     from the most to the least efficient and keep those joining distinct
     components.  The sort is stable over arcs already in (tail, head)
     order, so equally efficient links are scanned in endpoint order and
-    the result is deterministic.  Raises NotSymmetric if any arc is
-    directed and NotConnected when the network does not span.
+    the result is deterministic.  The tree is a Network on the same nodes
+    holding the chosen links in canonical order, as build_network would
+    give it.  Raises NotSymmetric if any arc is directed and NotConnected
+    when the network does not span.
     """
     nodes = as_symmetric(net).nodes
-    if len(nodes) <= 1:
-        return SpanningTree(nodes, ())
     tails, heads, effs = net._tails, net._heads, net._effs
     dsu = _DisjointSet(len(nodes))
     chosen: list[int] = []
@@ -100,30 +83,37 @@ def max_product_spanning_tree(net: Network) -> SpanningTree:
         )
     # Ascending arc index is canonical (tail, head) order.
     chosen.sort()
-    edges = tuple(Arc(nodes[tails[i]], nodes[heads[i]], effs[i], True) for i in chosen)
-    return SpanningTree(nodes, edges)
+    return Network(
+        nodes,
+        net._index,
+        array("i", map(tails.__getitem__, chosen)),
+        array("i", map(heads.__getitem__, chosen)),
+        array("d", map(effs.__getitem__, chosen)),
+        bytearray(b"\x01") * len(chosen),
+    )
 
 
 def guaranteed_min_by_tree(net: Network) -> GuaranteedLevel:
     """Certify a guaranteed level via the maximum-product spanning tree.
 
     The network must be symmetric (undirected after merging).  The
-    returned value is the tree's full edge product: the chain joining any
-    two nodes inside the tree uses a subset of the tree's edges, so its
-    efficiency can only be higher.
+    returned value is the tree's full edge product, multiplied left to
+    right over its canonical arcs (1.0 for an empty tree): the chain
+    joining any two nodes inside the tree uses a subset of the tree's
+    edges, so its efficiency can only be higher.
     """
     tree = max_product_spanning_tree(net)
-    return GuaranteedLevel(value=tree.product, method="tree", tree=tree)
+    return GuaranteedLevel(value=math.prod(tree._effs, start=1.0), method="tree", tree=tree)
 
 
-def tree_path(tree: SpanningTree, u: str, v: str) -> Chain | None:
+def tree_path(tree: Network, u: str, v: str) -> Chain | None:
     """The unique chain joining ``u`` and ``v`` inside a spanning tree.
 
     A tree offers one chain per pair, so the maximum-efficiency search
     finds it, with its product accumulated outward from ``u``.  Like
     that search, it returns None when the product underflows to 0.0.
     """
-    return best_chain_multiplicative(Network(tree.nodes, tree.edges), u, v)
+    return best_chain_multiplicative(tree, u, v)
 
 
 def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:

@@ -16,9 +16,10 @@ parse_network checks only this syntax.  Labels, ranges, self-loops,
 duplicates and conflicts are validated once, by build_network, which
 reports the file line of the offending arc.  Syntax is checked over the
 whole file first, so a file with both kinds of defect reports its first
-syntax error.  Every error carries a 1-based line number.  read_network
-reads files as UTF-8; a byte sequence that does not decode is a
-ParseError on the line that holds it.
+syntax error.  Every error carries a 1-based line number.  One leading
+byte-order mark (U+FEFF) is dropped.  read_network reads files as UTF-8;
+a byte sequence that does not decode is a ParseError on the line that
+holds it.
 """
 
 from array import array
@@ -30,6 +31,8 @@ from .network import Network, _build_network
 
 def parse_network(text: str) -> Network:
     """Parse edge-list text into a validated Network."""
+    if text.startswith("\ufeff"):
+        text = text[1:]  # a byte-order mark, not part of the first label
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     # Columns, one entry per arc (two labels in ``endpoints``): no tuple

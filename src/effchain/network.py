@@ -21,11 +21,13 @@ first under tie_break="low" and the larger under "high".
 
 A symmetric network needs no second representation: each of its arcs is
 an undirected link stored once with tail < head, so its canonical arcs
-are its unordered weighted edges.  as_symmetric only checks that, and the
-spanning tree, tree paths and connectivity test all run on a Network.
+are its unordered weighted edges.  as_symmetric only checks that.  A
+spanning tree is a Network too, over a subset of its network's columns,
+and the connectivity test reads the columns.
 
-Networks are immutable after build_network returns and are safe to share
-across threads; each query owns its own working state.
+build_network is the one way in: every Network comes out of its
+validation pass, or is a subset of one that did.  Networks are immutable
+and safe to share across threads; each query owns its own working state.
 """
 
 import re
@@ -88,48 +90,30 @@ def validate_label(label: str, *, line: int | None = None) -> str:
 class Network:
     """An immutable arc-weighted directed graph with optional undirected links.
 
-    Use build_network() to construct one; it validates arcs and performs
-    the opposite-arc merge.  The constructor itself assumes validated
-    input: ascending labels, and at most one arc per (tail, head), each
-    undirected one with tail < head.  It puts the arcs in canonical order.
+    Use build_network() (or io.parse_network) to construct one; it
+    validates the arcs, performs the opposite-arc merge and puts them in
+    canonical order.  The constructor trusts its columns: labels
+    ascending with ``index[nodes[i]] == i``, at most one arc per (tail,
+    head), sorted by (tail id, head id), each undirected one with tail <
+    head.  It only builds the adjacency.
 
-    The arcs live in four columns, indexed alike and sorted by (tail id,
-    head id): ``_tails``, ``_heads``, ``_effs`` and ``_undirected``.
-    Equality and hashing compare the labels and these columns; ``arcs``
-    builds its Arc tuple from them on first read.
+    The arcs live in four columns, indexed alike: ``_tails``, ``_heads``,
+    ``_effs`` and ``_undirected``.  Equality and hashing compare the
+    labels and these columns; ``arcs`` builds its Arc tuple from them on
+    first read.
     """
 
     __slots__ = ("_nodes", "_index", "_tails", "_heads", "_effs", "_undirected", "_out", "_arcs")
 
-    def __init__(self, nodes: tuple[str, ...], arcs: tuple[Arc, ...]):
-        index = {label: i for i, label in enumerate(nodes)}
-        arcs = tuple(sorted(arcs, key=lambda a: (index[a.tail], index[a.head])))
-        self._init(
-            nodes,
-            index,
-            array("i", [index[a.tail] for a in arcs]),
-            array("i", [index[a.head] for a in arcs]),
-            array("d", [a.efficiency for a in arcs]),
-            bytearray([bool(a.undirected) for a in arcs]),
-            arcs,
-        )
-
-    @classmethod
-    def _from_columns(
-        cls,
+    def __init__(
+        self,
         nodes: tuple[str, ...],
         index: dict[str, int],
         tails: array,
         heads: array,
         effs: array,
         undirected: bytearray,
-    ) -> "Network":
-        """A Network over canonical columns, its Arc tuple not yet built."""
-        net = cls.__new__(cls)
-        net._init(nodes, index, tails, heads, effs, undirected, None)
-        return net
-
-    def _init(self, nodes, index, tails, heads, effs, undirected, arcs) -> None:
+    ):
         self._nodes = nodes
         self._index = index
         self._tails = tails
@@ -137,7 +121,7 @@ class Network:
         self._effs = effs
         self._undirected = undirected
         self._out = _adjacency(list(index.values()), tails, heads, effs, undirected)
-        self._arcs = arcs
+        self._arcs: tuple[Arc, ...] | None = None
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -395,9 +379,7 @@ def _build_network(
     flags_c = bytearray([k & 1 for k in keys])
     del keys, order
     labels.clear()
-    return Network._from_columns(
-        nodes, dict(zip(nodes, range(n))), tails_c, heads_c, effs_c, flags_c
-    )
+    return Network(nodes, dict(zip(nodes, range(n))), tails_c, heads_c, effs_c, flags_c)
 
 
 def _line(lines: Sequence[int] | None, i: int) -> int | None:

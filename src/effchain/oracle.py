@@ -9,7 +9,7 @@ enumeration explode, so a typo in a test cannot silently burn minutes.
 from itertools import combinations
 
 from .errors import SizeLimitExceeded, UnknownNode
-from .network import Arc, Network, as_symmetric, is_connected
+from .network import Arc, Network, _DisjointSet, as_symmetric
 from .routing import Chain
 
 MAX_CHAIN_NODES = 12
@@ -70,9 +70,10 @@ def brute_best_chain(net: Network, a: str, z: str) -> Chain | None:
 def enumerate_spanning_trees(net: Network) -> list[tuple[Arc, ...]]:
     """Every spanning tree of a symmetric network, as sorted arc tuples.
 
-    Tries each (n-1)-subset of the undirected arcs and keeps those that
-    connect all nodes; with exactly n-1 arcs, connected and acyclic
-    coincide.  Raises NotSymmetric if any arc is directed.
+    Tries each (n-1)-subset of the undirected arcs and keeps those whose
+    every arc joins two components, as is_connected counts them: with
+    exactly n-1 arcs, that is connected and acyclic.  Raises NotSymmetric
+    if any arc is directed.
     """
     nodes = as_symmetric(net).nodes
     if len(nodes) > MAX_TREE_NODES:
@@ -82,11 +83,13 @@ def enumerate_spanning_trees(net: Network) -> list[tuple[Arc, ...]]:
         )
     if len(nodes) <= 1:
         return [()]
-    return [
-        subset
-        for subset in combinations(net.arcs, len(nodes) - 1)
-        if is_connected(Network(nodes, subset))
-    ]
+    index = net._index
+    trees = []
+    for subset in combinations(net.arcs, len(nodes) - 1):
+        dsu = _DisjointSet(len(nodes))
+        if all(dsu.union(index[a.tail], index[a.head]) for a in subset):
+            trees.append(subset)
+    return trees
 
 
 def brute_best_tree(net: Network) -> tuple[float, tuple[Arc, ...]]:

@@ -4,6 +4,7 @@ import random
 import string
 from collections.abc import Callable
 from itertools import combinations
+from typing import NamedTuple
 
 from effchain import (
     MERGE_TOLERANCE,
@@ -156,15 +157,23 @@ def underflow_path(links: int = 1100) -> Network:
     return build_network([(u, v, 0.5, True) for u, v in zip(names, names[1:])])
 
 
+class ReferenceNetwork(NamedTuple):
+    """What reference_build yields: sorted labels and canonical arcs."""
+
+    nodes: tuple[str, ...]
+    arcs: tuple[Arc, ...]
+
+
 def reference_build(
     raw_arcs: list[RawArc] | tuple[RawArc, ...], lines: list[int] | None
-) -> Network:
+) -> ReferenceNetwork:
     """The validation pass effchain used before its columnar load, kept verbatim.
 
     build_network, with ``lines[i]`` the file line of ``raw_arcs[i]``:
     the oracle the columnar pass is checked against.  Every error carries
     the line of the arc that raised it, and a duplicate cites the line of
-    its first declaration.
+    its first declaration.  It returns the nodes and arcs as a plain
+    record, since only build_network makes a Network.
     """
     # (tail, head) -> (efficiency, line); undirected keys have tail < head.
     directed: dict[tuple[str, str], tuple[float, int | None]] = {}
@@ -229,14 +238,14 @@ def reference_build(
         arcs.append(Arc(u, v, eta, undirected=True))
 
     arcs.sort(key=lambda a: (a.tail, a.head))
-    return Network(tuple(sorted(nodes)), tuple(arcs))
+    return ReferenceNetwork(tuple(sorted(nodes)), tuple(arcs))
 
 
 def _on_line(line: int | None) -> str:
     return "" if line is None else f" on line {line}"
 
 
-def reference_parse(text: str) -> Network:
+def reference_parse(text: str) -> ReferenceNetwork:
     """parse_network as it was before its columnar load, kept verbatim.
 
     Its syntax pass splits lines with str.splitlines(), so give it text
@@ -278,7 +287,7 @@ def reference_parse(text: str) -> Network:
     return reference_build(raws, lines)
 
 
-def reference_out(net: Network) -> dict[str, list[tuple[str, float]]]:
+def reference_out(net: ReferenceNetwork) -> dict[str, list[tuple[str, float]]]:
     """Each node's out-neighbours, built from ``net.arcs`` as effchain did
     before its columnar load: one append per step, then every row sorted."""
     out: dict[str, list[tuple[str, float]]] = {u: [] for u in net.nodes}

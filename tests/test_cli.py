@@ -86,6 +86,13 @@ def test_non_utf8_file_exits_2_naming_the_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
+def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b,0.5\nb,c,0.5\n")
+    assert run_cli(["best-chain", str(path), "--from", "a", "--to", "c"]) == 0
+    assert capsys.readouterr().out == "a b c  0.25000000\n"
+
+
 def test_guaranteed_min_tree_plain(tmp_path, capsys):
     path = _write(tmp_path, TRIANGLE)
     assert run_cli(["guaranteed-min", path]) == 0

@@ -6,7 +6,6 @@ import pytest
 
 from effchain import (
     Chain,
-    Network,
     NotConnected,
     NotSymmetric,
     SomePairUnreachable,
@@ -39,7 +38,7 @@ def _triangle():
 
 def test_triangle_tree_drops_weakest_edge():
     level = guaranteed_min_by_tree(_triangle())
-    assert [(e.tail, e.head) for e in level.tree.edges] == [("a", "b"), ("b", "c")]
+    assert [(e.tail, e.head) for e in level.tree.arcs] == [("a", "b"), ("b", "c")]
     assert level.value == 0.9 * 0.8
     assert level.method == "tree"
 
@@ -226,8 +225,8 @@ def test_kruskal_matches_exhaustive_maximum():
         view = as_symmetric(random_connected_undirected(rng))
         tree = max_product_spanning_tree(view)
         brute_product, brute_edges = brute_best_tree(view)
-        assert tree.product == brute_product
-        assert tree.edges == brute_edges
+        assert guaranteed_min_by_tree(view).value == brute_product
+        assert tree.arcs == brute_edges
 
 
 def test_kruskal_tie_break_is_lexicographic():
@@ -236,15 +235,16 @@ def test_kruskal_tie_break_is_lexicographic():
         [("a", "b", 0.9, True), ("a", "c", 0.9, True), ("b", "c", 0.9, True)]
     )
     tree = max_product_spanning_tree(as_symmetric(net))
-    assert [(e.tail, e.head) for e in tree.edges] == [("a", "b"), ("a", "c")]
+    assert [(e.tail, e.head) for e in tree.arcs] == [("a", "b"), ("a", "c")]
 
 
 def test_empty_and_single_node_trees():
     empty = max_product_spanning_tree(as_symmetric(build_network([])))
-    assert empty.edges == ()
-    assert empty.product == 1.0
-    single = Network(("a",), ())
-    assert guaranteed_min_all_pairs(single).value == 1.0
+    assert empty.arcs == ()
+    assert guaranteed_min_by_tree(build_network([])).value == 1.0
+    # Every arc joins two nodes, so the only network with fewer than two
+    # nodes is the empty one.
+    assert guaranteed_min_all_pairs(build_network([])).value == 1.0
 
 
 def test_tree_path_on_star():
@@ -272,12 +272,37 @@ def test_tree_paths_respect_the_full_product_bound():
     for _ in range(50):
         net = random_tree(rng)
         tree = max_product_spanning_tree(as_symmetric(net))
+        product = guaranteed_min_by_tree(net).value
         for u in tree.nodes:
             for v in tree.nodes:
                 path = tree_path(tree, u, v)
-                assert path.efficiency >= tree.product or math.isclose(
-                    path.efficiency, tree.product, rel_tol=1e-12
+                assert path.efficiency >= product or math.isclose(
+                    path.efficiency, product, rel_tol=1e-12
                 )
+
+
+def test_tree_is_the_network_of_its_own_arcs():
+    # The tree is cut from its network's columns; build_network of its
+    # arcs must give the same Network, adjacency included.
+    rng = random.Random(606)
+    for _ in range(100):
+        net = random_connected_undirected(rng, max_nodes=8)
+        level = guaranteed_min_by_tree(net)
+        tree = level.tree
+        raws = [(a.tail, a.head, a.efficiency, a.undirected) for a in tree.arcs]
+        rebuilt = build_network(raws)
+        assert tree == rebuilt
+        assert tree.nodes == net.nodes
+        assert len(tree.arcs) == len(net.nodes) - 1
+        assert all(a.undirected for a in tree.arcs)
+        product = 1.0
+        for arc in tree.arcs:
+            product *= arc.efficiency
+        assert level.value == product
+        for u in tree.nodes:
+            assert tree.out_neighbors(u) == rebuilt.out_neighbors(u)
+            for v in tree.nodes:
+                assert tree_path(tree, u, v) == best_chain_multiplicative(tree, u, v)
 
 
 def test_guaranteed_level_fields_by_method():

@@ -189,6 +189,27 @@ def test_read_network_names_the_line_of_a_non_utf8_byte(tmp_path):
     assert exc_info.value.line == 3
 
 
+def test_parse_drops_one_leading_byte_order_mark():
+    assert parse_network("\ufeffa,b,0.5\nb,c,0.5\n").nodes == ("a", "b", "c")
+    assert parse_network("\ufefftail,head,efficiency\na,b,0.5\n").nodes == ("a", "b")
+    # Only the first character is a byte-order mark; a second one is text.
+    assert parse_network("\ufeff\ufeffa,b,0.5\n").nodes == ("b", "\ufeffa")
+    with pytest.raises(EfficiencyOutOfRange) as exc_info:
+        parse_network("\ufeffa,b,0.5\nb,c,2.0\n")
+    assert exc_info.value.line == 2
+
+
+def test_read_network_drops_a_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "net.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b,0.5\nb,c,0.5\n")
+    assert read_network(path).nodes == ("a", "b", "c")
+    # A bad byte after the mark is still found on its own line.
+    path.write_bytes(b"\xef\xbb\xbfa,b,0.5\nb\xff,c,0.5\n")
+    with pytest.raises(ParseError, match="byte 0xff") as exc_info:
+        read_network(path)
+    assert exc_info.value.line == 2
+
+
 def test_to_dot_marks_undirected():
     net = build_network([("a", "b", 0.9, False), ("b", "c", 0.8, True)])
     dot = to_dot(net)

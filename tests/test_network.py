@@ -281,14 +281,15 @@ def test_queries_levels_and_rendering_build_no_arcs():
         for tie in ("low", "high"):
             assert route(net, "a", "d", tie_break=tie) is not None
     assert guaranteed_min_all_pairs(net).worst_pair is not None
-    assert guaranteed_min_by_tree(net).tree.edges
+    level = guaranteed_min_by_tree(net)
     render_network(net)
     to_dot(net)
     classify(net)
     assert is_connected(as_symmetric(net))
     directed = parse_network("a,b,0.9\nb,c,0.8\nc,a,0.7\n")
     assert guaranteed_min_all_pairs(directed).value == pytest.approx(0.56)
-    for loaded in (net, directed):
+    for loaded in (net, directed, level.tree):
         assert loaded._arcs is None
+    assert level.tree.arcs
     assert net.arcs[0] == Arc("a", "b", 0.9, undirected=True)
     assert net.arcs is net.arcs  # built once, then kept
