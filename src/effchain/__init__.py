@@ -36,7 +36,6 @@ from .errors import (
     NotSymmetric,
     ParseError,
     SelfLoop,
-    SizeLimitExceeded,
     SomePairUnreachable,
     UnknownNode,
     WrongArity,
@@ -93,7 +92,6 @@ __all__ = [
     "NotSymmetric",
     "ParseError",
     "SelfLoop",
-    "SizeLimitExceeded",
     "SomePairUnreachable",
     "UnknownNode",
     "WrongArity",

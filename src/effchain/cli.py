@@ -3,11 +3,13 @@
 Subcommands operate on edge-list files (see the io module for the
 format).  Exit codes: 0 success, 1 no qualifying chain exists, 2 bad
 input or arguments, 3 structural precondition failed (network not
-symmetric or not connected).
+symmetric or not connected), 141 standard output closed by its reader
+(128 + SIGPIPE, as a shell reports a command killed by a broken pipe).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -203,10 +205,21 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SomePairUnreachable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        raise  # a closed stdout is not bad input; main() reports it
     except (EffchainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at the null device so the
+        # interpreter's flush at exit does not fail again, and exit as a
+        # process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

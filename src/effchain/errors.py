@@ -96,13 +96,6 @@ class SomePairUnreachable(EffchainError):
     zero guaranteed level exists."""
 
 
-# --- oracles ---
-
-class SizeLimitExceeded(EffchainError):
-    """An exhaustive enumeration was asked for a network above its size
-    guardrail."""
-
-
 # --- file parsing ---
 
 class ParseError(EffchainError):

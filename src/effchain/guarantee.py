@@ -11,6 +11,9 @@ Two routes to a floor on chain efficiency:
   pairs, exact.  Each full search from a node bounds every other node's
   eccentricity (the efficiency of its worst best chain), so only the few
   sources that can still hold the worst pair are searched, not all n.
+  Once a search leaves a node unreached or finds a subnormal level, the
+  bounds no longer hold, and the remaining sources are searched in node
+  order until the first unreachable pair or the last source.
 
 The tree route needs no second graph type: a symmetric network's
 canonical arcs are its undirected edges, so the tree is the Network over
@@ -21,7 +24,7 @@ over that Network.
 import math
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NotConnected, SomePairUnreachable
 from .network import Network, _DisjointSet, as_symmetric
@@ -42,7 +45,9 @@ class GuaranteedLevel:
     The tree route carries the tree itself, as a Network; the exact route
     carries the worst ordered pair and its best chain as a witness.
     ``sweeps`` counts the forward and backward searches the level ran (0
-    for the tree).
+    for the tree).  Past an unreached node or a subnormal level each
+    remaining source costs one forward search, so a level that is
+    subnormal from its first search costs n.
     """
 
     value: float
@@ -125,7 +130,10 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     sweeps only sources that can still hold that pair, pruned by bounds on
     each node's eccentricity, the efficiency of its worst best chain
     (BoundingDiameters on symmetric networks, SumSweep's forward and
-    backward bounds on directed ones, both in product form).  Raises
+    backward bounds on directed ones, both in product form).  Once a sweep
+    leaves a node unreached, or finds an eccentricity below the smallest
+    normal float, the bounds no longer hold: from then on it sweeps the
+    remaining sources forward only, in node order.  Raises
     SomePairUnreachable naming the first ordered pair that no chain joins.
     A single-node network has no pairs and is certified at level 1.
     """
@@ -142,23 +150,33 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     swept = [False] * n
     sweeps = 0
     best_value, best_source = 2.0, n  # above any attainable efficiency
+    bounded = True  # every sweep so far reached all n nodes at normal weights
+    miss = None  # (source, smallest target) of the latest sweep to miss a node
     source = 0
     while True:
         sweeps += 1
         weight, pred, _ = _product_sweep(out, source, None, 1)
-        back = weight
-        if into is not out:
-            sweeps += 1
-            back = _product_sweep(into, source, None, 1)[0]
+        swept[source] = True
+        if len(weight) < n:
+            miss = (source, next(t for t in range(n) if t not in weight))
         ecc = min(weight.values())
-        if len(weight) < n or len(back) < n or ecc < sys.float_info.min:
-            # Some pair is unreached or its weight lost relative precision:
-            # the full loop names the same first pair, or fails, as before.
-            level = _all_pairs_full_sweep(net)
-            return replace(level, sweeps=sweeps + level.sweeps)
         if ecc < best_value or (ecc == best_value and source < best_source):
             best_value, best_source, best_weight, best_pred = ecc, source, weight, pred
-        swept[source] = True
+        # A subnormal weight has lost relative precision, so it bounds nothing.
+        bounded = bounded and len(weight) == n and ecc >= sys.float_info.min
+        back = weight
+        if bounded and into is not out:
+            sweeps += 1
+            back = _product_sweep(into, source, None, 1)[0]
+            bounded = len(back) == n
+        if not bounded:
+            # From here sources go in node order, so every source below the
+            # next one is swept: once the next lies above the recorded miss,
+            # that miss is the first ordered pair no chain joins.
+            source = swept.index(False) if False in swept else n
+            if source == n or (miss is not None and source > miss[0]):
+                break
+            continue
         # Through u, v reaches every target t at w(v, u) * w(u, t) or
         # better, so w(v, u) * ecc(u) <= ecc(v); u is itself one of v's
         # targets, so ecc(v) <= w(v, u).
@@ -171,6 +189,9 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
         if not left:
             break
         source = min(left)[1]
+    if miss is not None:
+        u, v = nodes[miss[0]], nodes[miss[1]]
+        raise SomePairUnreachable(f"no chain from {u} to {v}", pair=(u, v))
     target = next(
         t for t in range(n) if t != best_source and best_weight[t] == best_value
     )
@@ -195,37 +216,3 @@ def _reversed_rows(
         for head, eta in row:
             rows[head].append((tail, eta))
     return rows
-
-
-def _all_pairs_full_sweep(net: Network) -> GuaranteedLevel:
-    """guaranteed_min_all_pairs by one full search from every source.
-
-    The reference the bounded level must match, and its fallback when a
-    pair is unreached or underflows.
-    """
-    nodes = net.nodes
-    if len(nodes) <= 1:
-        return GuaranteedLevel(value=1.0, method="all-pairs")
-    best_value = 2.0  # above any attainable efficiency
-    best_pair: tuple[int, int] | None = None
-    for source in range(len(nodes)):
-        weight, pred, _ = _product_sweep(net._out, source, None, 1)
-        for target in range(len(nodes)):
-            if target == source:
-                continue
-            if target not in weight:
-                u, v = nodes[source], nodes[target]
-                raise SomePairUnreachable(f"no chain from {u} to {v}", pair=(u, v))
-            if weight[target] < best_value:
-                best_value = weight[target]
-                best_pair = (source, target)
-                best_pred = pred
-    assert best_pair is not None
-    witness = Chain(_chain_nodes(net, best_pred, *best_pair), best_value)
-    return GuaranteedLevel(
-        value=best_value,
-        method="all-pairs",
-        worst_pair=(nodes[best_pair[0]], nodes[best_pair[1]]),
-        worst_chain=witness,
-        sweeps=len(nodes),
-    )

@@ -9,16 +9,20 @@ from typing import NamedTuple
 from effchain import (
     MERGE_TOLERANCE,
     Arc,
+    Chain,
     ConflictingArc,
     DuplicateArc,
+    GuaranteedLevel,
     Network,
     ParseError,
     SelfLoop,
+    SomePairUnreachable,
     build_network,
     check_efficiency,
     validate_label,
 )
 from effchain.network import RawArc
+from effchain.routing import _chain_nodes, _product_sweep
 
 
 def labels_for(n: int) -> list[str]:
@@ -298,3 +302,36 @@ def reference_out(net: ReferenceNetwork) -> dict[str, list[tuple[str, float]]]:
     for row in out.values():
         row.sort()
     return out
+
+
+def _all_pairs_full_sweep(net: Network) -> GuaranteedLevel:
+    """guaranteed_min_all_pairs by one full search from every source.
+
+    The reference the bounded level must match.
+    """
+    nodes = net.nodes
+    if len(nodes) <= 1:
+        return GuaranteedLevel(value=1.0, method="all-pairs")
+    best_value = 2.0  # above any attainable efficiency
+    best_pair: tuple[int, int] | None = None
+    for source in range(len(nodes)):
+        weight, pred, _ = _product_sweep(net._out, source, None, 1)
+        for target in range(len(nodes)):
+            if target == source:
+                continue
+            if target not in weight:
+                u, v = nodes[source], nodes[target]
+                raise SomePairUnreachable(f"no chain from {u} to {v}", pair=(u, v))
+            if weight[target] < best_value:
+                best_value = weight[target]
+                best_pair = (source, target)
+                best_pred = pred
+    assert best_pair is not None
+    witness = Chain(_chain_nodes(net, best_pred, *best_pair), best_value)
+    return GuaranteedLevel(
+        value=best_value,
+        method="all-pairs",
+        worst_pair=(nodes[best_pair[0]], nodes[best_pair[1]]),
+        worst_chain=witness,
+        sweeps=len(nodes),
+    )

@@ -8,12 +8,16 @@ enumeration explode, so a typo in a test cannot silently burn minutes.
 
 from itertools import combinations
 
-from .errors import SizeLimitExceeded, UnknownNode
-from .network import Arc, Network, _DisjointSet, as_symmetric
-from .routing import Chain
+from effchain import Arc, Chain, Network, UnknownNode, as_symmetric
+from effchain.network import _DisjointSet
 
 MAX_CHAIN_NODES = 12
 MAX_TREE_NODES = 8
+
+
+class SizeLimitExceeded(Exception):
+    """An exhaustive enumeration was asked for a network above its size
+    guardrail."""
 
 
 def enumerate_chains(net: Network, a: str, z: str) -> list[Chain]:

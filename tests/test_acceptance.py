@@ -27,7 +27,6 @@ from effchain import (
     to_lossiness,
 )
 from effchain.cli import run_cli
-from effchain.oracle import brute_best_chain, brute_best_tree, enumerate_spanning_trees
 from helpers import (
     complete_undirected,
     random_connected_undirected,
@@ -35,6 +34,7 @@ from helpers import (
     random_tree,
     scale_network,
 )
+from oracle import brute_best_chain, brute_best_tree, enumerate_spanning_trees
 
 
 def _report(label: str, ok: bool, detail: str = "") -> None:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import effchain
 from effchain import demo_energy_network, render_network
 from effchain.cli import run_cli
 
@@ -91,6 +96,34 @@ def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path, capsys):
     path.write_bytes(b"\xef\xbb\xbfa,b,0.5\nb,c,0.5\n")
     assert run_cli(["best-chain", str(path), "--from", "a", "--to", "c"]) == 0
     assert capsys.readouterr().out == "a b c  0.25000000\n"
+
+
+# A long path: its DOT text outgrows the stdout buffer, so the first
+# write to a closed pipe happens while the command runs, not at exit.
+LONG_PATH = "".join(f"n{i:05d},n{i + 1:05d},0.5,undir\n" for i in range(2000))
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("guaranteed-min", TRIANGLE), ("dot", TRIANGLE), ("dot", LONG_PATH)],
+    ids=["guaranteed-min", "dot", "dot-long"],
+)
+def test_closed_stdout_exits_141_quietly(tmp_path, command, text):
+    path = _write(tmp_path, text)
+    env = {**os.environ, "PYTHONPATH": str(Path(effchain.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from effchain.cli import main; main()", command, path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # Close the reading end before the child writes, as a reader that
+    # leaves at once would.
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=60)
+    assert child.returncode == 141
+    assert stderr == b""
 
 
 def test_guaranteed_min_tree_plain(tmp_path, capsys):

@@ -18,9 +18,8 @@ from effchain import (
     max_product_spanning_tree,
     tree_path,
 )
-from effchain.guarantee import _all_pairs_full_sweep
-from effchain.oracle import brute_best_tree
 from helpers import (
+    _all_pairs_full_sweep,
     random_connected_undirected,
     random_directed_network,
     random_mixed_network,
@@ -28,6 +27,7 @@ from helpers import (
     sparse_undirected,
     underflow_path,
 )
+from oracle import brute_best_tree
 
 
 def _triangle():
@@ -134,12 +134,18 @@ def test_bounded_level_matches_full_sweep():
     def ties():
         return rng.choice((0.5, 0.9, 1.0))
 
+    def underflows():
+        # Products of these reach subnormal weights or round to 0.0.
+        return rng.choice((1e-308, 2e-308, 3e-90, 1e-120, 1e-160, 1e-200, 0.5, 1.0))
+
     makers = [
         lambda: random_connected_undirected(rng, max_nodes=12),
         lambda: sparse_undirected(rng, rng.randint(2, 40), draw=ties),
+        lambda: sparse_undirected(rng, rng.randint(2, 40), draw=underflows),
         lambda: random_directed_network(rng, max_nodes=10),
         lambda: random_mixed_network(rng, max_nodes=10),
         lambda: random_mixed_network(rng, max_nodes=10, draw=ties),
+        lambda: random_mixed_network(rng, max_nodes=10, draw=underflows),
     ]
     for _ in range(120):
         for make in makers:
@@ -160,13 +166,31 @@ def test_bounded_level_sweeps_few_sources():
 
 def test_bounded_level_falls_back_on_a_subnormal_level():
     # 0.001^103 ~ 1e-309 is subnormal: relative bounds no longer hold, so
-    # the level runs the full loop after its first sweep.
+    # after its first sweep the level sweeps every other source once.
     names = [f"n{i:03d}" for i in range(104)]
     net = build_network([(u, v, 0.001, True) for u, v in zip(names, names[1:])])
     level = guaranteed_min_all_pairs(net)
     assert 0.0 < level.value < sys.float_info.min
     assert _exact(level) == _exact(_all_pairs_full_sweep(net))
-    assert level.sweeps == 1 + len(names)
+    assert level.sweeps == len(names)
+
+
+def test_unreached_pair_is_the_first_in_node_order():
+    # Every weight from a is normal, so the bounds send the second sweep to
+    # c, the node farthest from a, whose chain to b rounds to 0.0.  b's
+    # chain to c rounds to 0.0 as well and b comes first, so (b, c) is the
+    # pair to name: not (c, b), found first, nor (d, c), found after it.
+    net = build_network(
+        [("a", "b", 1e-160, True), ("a", "c", 1e-200, True), ("a", "d", 1e-150, True)]
+    )
+    assert _level_or_unreachable(_all_pairs_full_sweep, net) == (
+        "unreachable",
+        ("b", "c"),
+    )
+    with pytest.raises(SomePairUnreachable) as info:
+        guaranteed_min_all_pairs(net)
+    assert info.value.pair == ("b", "c")
+    assert str(info.value) == "no chain from b to c"
 
 
 def test_all_pairs_on_directed_cycle():

@@ -5,18 +5,18 @@ import pytest
 from effchain import (
     Chain,
     Network,
-    SizeLimitExceeded,
     UnknownNode,
     as_symmetric,
     build_network,
 )
-from effchain.oracle import (
+from helpers import complete_undirected, labels_for
+from oracle import (
+    SizeLimitExceeded,
     brute_best_chain,
     brute_best_tree,
     enumerate_chains,
     enumerate_spanning_trees,
 )
-from helpers import complete_undirected, labels_for
 
 
 def _complete_digraph(n: int, eff: float = 0.9) -> Network:

@@ -17,8 +17,8 @@ from effchain import (
     to_lossiness,
 )
 from effchain.algebra import Lossiness
-from effchain.oracle import brute_best_chain
 from helpers import random_directed_network, random_mixed_network, underflow_path
+from oracle import brute_best_chain
 
 
 def test_demo_network_best_chain():
