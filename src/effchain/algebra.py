@@ -55,12 +55,16 @@ class Lossiness:
 def link_efficiency(service_in: float, service_out: float) -> float:
     """Efficiency of one link: service volume out / service volume in.
 
-    Raises NonPositiveOutput when the output is <= 0 (the ratio would leave
-    the (0, 1] domain) and GainNotAllowed when the output exceeds the input.
+    Raises ValueError unless the input is finite and above 0,
+    NonPositiveOutput unless the output is above 0 (NaN is not; the ratio
+    would leave the (0, 1] domain) and GainNotAllowed when the output
+    exceeds the input.
     """
-    if service_in <= 0:
-        raise ValueError(f"service input must be positive, got {service_in!r}")
-    if service_out <= 0:
+    if not (0 < service_in < math.inf):
+        raise ValueError(
+            f"service input must be finite and positive, got {service_in!r}"
+        )
+    if not service_out > 0:
         raise NonPositiveOutput(
             f"service output must be positive, got {service_out!r}"
         )
@@ -103,8 +107,10 @@ def from_lossiness(t: Lossiness) -> float:
     Round-trips with to_lossiness to within 1e-12.
     """
     _check_base(t.base)
-    if t.value < 0:
-        raise NegativeLossiness(f"lossiness must be >= 0, got {t.value!r}")
+    if not (0 <= t.value < math.inf):
+        raise NegativeLossiness(
+            f"lossiness must be finite and >= 0, got {t.value!r}"
+        )
     return t.base ** (-t.value)
 
 

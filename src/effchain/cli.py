@@ -122,7 +122,15 @@ def _cmd_lossiness(args) -> int:
 
 def _cmd_dot(args) -> int:
     net = read_network(args.file)
-    sys.stdout.write(to_dot(net))
+    # Unbuffered (PYTHONUNBUFFERED, python -u), stdout hands text to a raw
+    # file whose write takes only part of it when the reader leaves, and
+    # drops the rest without an error.  Writing the bytes until none are
+    # left reaches the closed pipe and raises BrokenPipeError instead; the
+    # other commands print, and print's separate newline write does so.
+    sys.stdout.flush()
+    data = memoryview(to_dot(net).encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[sys.stdout.buffer.write(data) :]
     return 0
 
 

@@ -1,8 +1,10 @@
 """Exception hierarchy for effchain.
 
-Every error raised by the package derives from EffchainError, so callers
+Every error the package defines derives from EffchainError, so callers
 can catch one base class at API boundaries (the CLI does exactly that to
-map errors onto exit codes).
+map errors onto exit codes).  Two argument errors are plain ValueError
+instead: a search's ``tie_break`` other than "low" or "high", and a
+service input to ``link_efficiency`` that is not finite and above 0.
 """
 
 
@@ -54,7 +56,8 @@ class UnknownNode(EffchainError):
 # --- weight algebra ---
 
 class NonPositiveOutput(EffchainError):
-    """Service output <= 0 would give a zero efficiency, outside (0, 1]."""
+    """Service output not above 0 (NaN included) gives no efficiency in
+    (0, 1]."""
 
 
 class GainNotAllowed(EffchainError):
@@ -70,7 +73,8 @@ class BadBase(EffchainError):
 
 
 class NegativeLossiness(EffchainError):
-    """A lossiness value below 0 has no corresponding efficiency in (0, 1]."""
+    """A lossiness value below 0 or not finite has no corresponding
+    efficiency in (0, 1]."""
 
 
 class WrongArity(EffchainError):

@@ -215,8 +215,8 @@ def _adjacency(
     links it is the tail of form one run of ascending heads: its row is
     that run.  A row that also gains the reverse step of a link is sorted
     once at the end.  Steps hold the int objects of ``ids`` (the index's
-    values), not one int per step: the searches' dicts and sets keyed by
-    id then match a step's id by identity, their fast path.  A link's two
+    values), not one int per step: the searches' dicts keyed by id then
+    match a step's id by identity, their fast path.  A link's two
     steps share one float.
     """
     counts = [0] * len(ids)

@@ -12,10 +12,12 @@ Two interchangeable methods:
   the minimum-lossiness chain is the maximum-product chain because
   -log_b is monotone decreasing on (0, 1].
 
-Both settle nodes in the same order under the same tie-break rule, and
-both return a simple chain: revisiting a node can never improve the
-product, and relaxation requires strict improvement, so weight-1 arcs
-cannot create improvement cycles either.
+The routes agree on the optimal value up to rounding, not bit for bit:
+sums of logarithms round differently from products, so on near-ties
+they can settle nodes in different orders and return different chains
+of almost equal efficiency.  Both return a simple chain: revisiting a
+node can never improve the product, and relaxation requires strict
+improvement, so weight-1 arcs cannot create improvement cycles either.
 """
 
 import math
@@ -71,29 +73,34 @@ def _product_sweep(
     ``adj`` lists each id's (neighbour id, efficiency) steps: ``net._out``
     searches forward; rows reversed arc by arc search backward, giving the
     best chain *into* ``source`` from every node.
+
+    No settled set: a step never raises a weight (efficiencies are at most
+    1 and IEEE ``*`` is monotone), so nodes settle in non-increasing weight
+    and a settled weight is final.  A popped entry below its node's weight
+    is stale, and a neighbour already at the settling weight or above
+    (every settled one is) cannot improve.
     """
     weight = {source: 1.0}
     pred: dict[int, int] = {}
-    settled: set[int] = set()
     order: list[int] = []
     heap = [(-1.0, sign * source)]
     while heap:
         neg_w, key = heappop(heap)
         v = sign * key
-        if v in settled:
+        w = -neg_w
+        if w < weight[v]:
             continue
-        settled.add(v)
         order.append(v)
         if v == target:
             break
-        w = -neg_w
         for u, eta in adj[v]:
-            if u in settled:
+            old = weight.get(u, 0.0)
+            if old >= w:
                 continue
             candidate = w * eta
             # Strict improvement only: an equal-weight candidate never
             # overwrites an existing history.
-            if candidate > weight.get(u, 0.0):
+            if candidate > old:
                 weight[u] = candidate
                 pred[u] = v
                 heappush(heap, (-candidate, sign * u))
@@ -101,30 +108,34 @@ def _product_sweep(
 
 
 def _lossiness_sweep(
-    net: Network, source: int, target: int | None, base: float, sign: int
+    adj: list[list[tuple[int, float]]], source: int, target: int | None, base: float, sign: int
 ) -> tuple[dict[int, float], dict[int, int], list[int]]:
-    """additive_search over node ids, with ties settled by ``sign``."""
+    """additive_search over node ids, with ties settled by ``sign``.
+
+    No settled set, as in _product_sweep: a lossiness is at least 0 and
+    IEEE ``+`` is monotone, so nodes settle in non-decreasing distance.  A
+    popped entry above its node's distance is stale, and a neighbour
+    already at the settling distance or below cannot improve.
+    """
     log_base = math.log(base)
-    adj = net._out
     dist = {source: 0.0}
     pred: dict[int, int] = {}
-    settled: set[int] = set()
     order: list[int] = []
     heap = [(0.0, sign * source)]
     while heap:
         d, key = heappop(heap)
         v = sign * key
-        if v in settled:
+        if d > dist[v]:
             continue
-        settled.add(v)
         order.append(v)
         if v == target:
             break
         for u, eta in adj[v]:
-            if u in settled:
+            old = dist.get(u, math.inf)
+            if old <= d:
                 continue
             candidate = d + abs(math.log(eta) / log_base)
-            if candidate < dist.get(u, math.inf):
+            if candidate < old:
                 dist[u] = candidate
                 pred[u] = v
                 heappush(heap, (candidate, sign * u))
@@ -175,7 +186,7 @@ def additive_search(
     _check_base(base)
     sign, source_id = _tie_sign(tie_break), _node_id(net, source)
     target_id = None if target is None else _node_id(net, target)
-    return _labelled(net, *_lossiness_sweep(net, source_id, target_id, base, sign))
+    return _labelled(net, *_lossiness_sweep(net._out, source_id, target_id, base, sign))
 
 
 def _chain_nodes(
@@ -199,10 +210,11 @@ def best_chain_multiplicative(
     the tie_break rule decides which settles first; the optimum value does
     not depend on that choice.
     """
+    sign = _tie_sign(tie_break)
     source, target = _node_id(net, a), _node_id(net, z)
     if source == target:
         return Chain((a,), 1.0)
-    weight, pred, _ = _product_sweep(net._out, source, target, _tie_sign(tie_break))
+    weight, pred, _ = _product_sweep(net._out, source, target, sign)
     if target not in pred:
         return None
     return Chain(_chain_nodes(net, pred, source, target), weight[target])
@@ -220,10 +232,11 @@ def best_chain_via_lossiness(
     wins; it only rescales all lossiness totals by a positive constant.
     """
     _check_base(base)
+    sign = _tie_sign(tie_break)
     source, target = _node_id(net, a), _node_id(net, z)
     if source == target:
         return Chain((a,), 1.0)
-    _, pred, _ = _lossiness_sweep(net, source, target, base, _tie_sign(tie_break))
+    _, pred, _ = _lossiness_sweep(net._out, source, target, base, sign)
     if target not in pred:
         return None
     nodes = _chain_nodes(net, pred, source, target)

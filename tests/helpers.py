@@ -1,8 +1,10 @@
 """Seeded random-network generators shared across test modules."""
 
+import math
 import random
 import string
 from collections.abc import Callable
+from heapq import heappop, heappush
 from itertools import combinations
 from typing import NamedTuple
 
@@ -335,3 +337,76 @@ def _all_pairs_full_sweep(net: Network) -> GuaranteedLevel:
         worst_chain=witness,
         sweeps=len(nodes),
     )
+
+
+# The search kernels as they were with a settled set beside the weights,
+# kept verbatim: the references the set-free kernels must match in
+# weights (values and insertion order), pred and settle order.
+
+
+def reference_product_sweep(
+    adj: list[list[tuple[int, float]]], source: int, target: int | None, sign: int
+) -> tuple[dict[int, float], dict[int, int], list[int]]:
+    """multiplicative_search over node ids, with ties settled by ``sign``.
+
+    ``adj`` lists each id's (neighbour id, efficiency) steps: ``net._out``
+    searches forward; rows reversed arc by arc search backward, giving the
+    best chain *into* ``source`` from every node.
+    """
+    weight = {source: 1.0}
+    pred: dict[int, int] = {}
+    settled: set[int] = set()
+    order: list[int] = []
+    heap = [(-1.0, sign * source)]
+    while heap:
+        neg_w, key = heappop(heap)
+        v = sign * key
+        if v in settled:
+            continue
+        settled.add(v)
+        order.append(v)
+        if v == target:
+            break
+        w = -neg_w
+        for u, eta in adj[v]:
+            if u in settled:
+                continue
+            candidate = w * eta
+            # Strict improvement only: an equal-weight candidate never
+            # overwrites an existing history.
+            if candidate > weight.get(u, 0.0):
+                weight[u] = candidate
+                pred[u] = v
+                heappush(heap, (-candidate, sign * u))
+    return weight, pred, order
+
+
+def reference_lossiness_sweep(
+    net: Network, source: int, target: int | None, base: float, sign: int
+) -> tuple[dict[int, float], dict[int, int], list[int]]:
+    """additive_search over node ids, with ties settled by ``sign``."""
+    log_base = math.log(base)
+    adj = net._out
+    dist = {source: 0.0}
+    pred: dict[int, int] = {}
+    settled: set[int] = set()
+    order: list[int] = []
+    heap = [(0.0, sign * source)]
+    while heap:
+        d, key = heappop(heap)
+        v = sign * key
+        if v in settled:
+            continue
+        settled.add(v)
+        order.append(v)
+        if v == target:
+            break
+        for u, eta in adj[v]:
+            if u in settled:
+                continue
+            candidate = d + abs(math.log(eta) / log_base)
+            if candidate < dist.get(u, math.inf):
+                dist[u] = candidate
+                pred[u] = v
+                heappush(heap, (candidate, sign * u))
+    return dist, pred, order

@@ -56,6 +56,23 @@ def test_link_efficiency_rejects_bad_volumes():
         link_efficiency(10.0, 10.5)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("service_in", [NAN, INF, -INF])
+def test_link_efficiency_rejects_a_non_finite_input(service_in):
+    for service_out in (0.5, 1.0, NAN, INF):
+        with pytest.raises(ValueError, match="finite"):
+            link_efficiency(service_in, service_out)
+
+
+def test_link_efficiency_rejects_a_non_finite_output():
+    with pytest.raises(NonPositiveOutput):
+        link_efficiency(1.0, NAN)
+    with pytest.raises(GainNotAllowed):
+        link_efficiency(1.0, INF)
+
+
 def test_chain_efficiency_multiplies_left_to_right():
     assert chain_efficiency([0.5]) == 0.5
     assert chain_efficiency([0.9, 0.8, 0.7]) == (0.9 * 0.8) * 0.7
@@ -115,6 +132,12 @@ def test_bad_base_rejected():
 def test_from_lossiness_rejects_negative_value():
     with pytest.raises(NegativeLossiness):
         from_lossiness(Lossiness(-0.1, base=2.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_from_lossiness_rejects_a_non_finite_value(value):
+    with pytest.raises(NegativeLossiness, match="finite"):
+        from_lossiness(Lossiness(value, base=2.0))
 
 
 def test_bsc_two_links():

@@ -103,23 +103,46 @@ def test_byte_order_mark_is_not_part_of_the_first_label(tmp_path, capsys):
 LONG_PATH = "".join(f"n{i:05d},n{i + 1:05d},0.5,undir\n" for i in range(2000))
 
 
+def _cli_child(command, path, unbuffered=None):
+    """Run main() in a child with ``src`` on its path, stdout to a pipe.
+
+    PYTHONUNBUFFERED is dropped (stdout block-buffered) unless given.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(effchain.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.Popen(
+        [sys.executable, "-c", "from effchain.cli import main; main()", command, path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        bufsize=0,
+    )
+
+
 @pytest.mark.parametrize(
     "command, text",
     [("guaranteed-min", TRIANGLE), ("dot", TRIANGLE), ("dot", LONG_PATH)],
     ids=["guaranteed-min", "dot", "dot-long"],
 )
 def test_closed_stdout_exits_141_quietly(tmp_path, command, text):
-    path = _write(tmp_path, text)
-    env = {**os.environ, "PYTHONPATH": str(Path(effchain.__file__).parents[1])}
-    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
-    child = subprocess.Popen(
-        [sys.executable, "-c", "from effchain.cli import main; main()", command, path],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
+    child = _cli_child(command, _write(tmp_path, text))
     # Close the reading end before the child writes, as a reader that
     # leaves at once would.
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=60)
+    assert child.returncode == 141
+    assert stderr == b""
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_reader_leaving_mid_write_exits_141_quietly(tmp_path, unbuffered):
+    # LONG_PATH's DOT text (~120 KB) outgrows a pipe's 64 KiB, so the
+    # child is still writing when the reader leaves.  Unbuffered, that
+    # write returns a partial count instead of failing.
+    child = _cli_child("dot", _write(tmp_path, LONG_PATH), unbuffered)
+    assert child.stdout.read(10)
     child.stdout.close()
     _, stderr = child.communicate(timeout=60)
     assert child.returncode == 141
@@ -154,6 +177,15 @@ def test_guaranteed_min_json(tmp_path, capsys):
     assert payload["tree"] == [["a", "b", 0.9], ["b", "c", 0.8]]
 
 
+def test_guaranteed_min_all_pairs_json(tmp_path, capsys):
+    path = _write(tmp_path, TRIANGLE)
+    assert run_cli(["guaranteed-min", path, "--method", "all-pairs", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"value": 0.72, "method": "all-pairs", "worst_pair": ["a", "c"], '
+        '"worst_chain": ["a", "b", "c"]}\n'
+    )
+
+
 def test_guaranteed_min_tree_rejects_directed(tmp_path, capsys):
     path = _write(tmp_path, DIRECTED_PAIR)
     assert run_cli(["guaranteed-min", path]) == 3
@@ -184,6 +216,13 @@ def test_lossiness_subcommand(capsys):
     assert capsys.readouterr().out == "1.00000000\n"
     assert run_cli(["lossiness", "0.5", "--base", "4"]) == 0
     assert capsys.readouterr().out == "0.50000000\n"
+
+
+def test_lossiness_json(capsys):
+    assert run_cli(["lossiness", "0.5", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"efficiency": 0.5, "lossiness": 1.0, "base": 2.0}\n'
+    )
 
 
 def test_lossiness_rejects_bad_inputs(capsys):

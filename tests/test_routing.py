@@ -17,7 +17,14 @@ from effchain import (
     to_lossiness,
 )
 from effchain.algebra import Lossiness
-from helpers import random_directed_network, random_mixed_network, underflow_path
+from effchain.routing import _lossiness_sweep, _product_sweep
+from helpers import (
+    random_directed_network,
+    random_mixed_network,
+    reference_lossiness_sweep,
+    reference_product_sweep,
+    underflow_path,
+)
 from oracle import brute_best_chain
 
 
@@ -95,6 +102,23 @@ def test_bad_tie_break_rejected():
         best_chain_multiplicative(net, "a", "b", tie_break="middle")
 
 
+@pytest.mark.parametrize("a, z", [("a", "b"), ("a", "a"), ("a", "q"), ("q", "q")])
+def test_bad_arguments_rejected_before_the_endpoints(a, z):
+    """Every entry point checks tie_break and base before it looks up a
+    node or takes the a == z shortcut."""
+    net = build_network([("a", "b", 0.9, False)])
+    for search in (multiplicative_search, additive_search):
+        with pytest.raises(ValueError, match="tie_break"):
+            search(net, a, z, tie_break="bogus")
+    for best in (best_chain_multiplicative, best_chain_via_lossiness):
+        with pytest.raises(ValueError, match="tie_break"):
+            best(net, a, z, tie_break="bogus")
+    with pytest.raises(BadBase):
+        additive_search(net, a, z, base=1.0, tie_break="bogus")
+    with pytest.raises(BadBase):
+        best_chain_via_lossiness(net, a, z, base=1.0, tie_break="bogus")
+
+
 def test_greedy_trap_diamond():
     """The locally best first step does not win; the search must look ahead."""
     net = build_network(
@@ -151,6 +175,39 @@ def test_lossiness_route_matches_product_route():
                 assert via.efficiency == pytest.approx(
                     direct.efficiency, abs=1e-10
                 )
+
+
+def test_kernels_match_the_settled_set_reference():
+    """Without a settled set, both kernels give the reference's weights
+    (values and insertion order), pred and settle order."""
+    rng = random.Random(1013)
+    draws = [
+        lambda: 1.0 - rng.random(),
+        lambda: rng.choice((0.5, 1.0)),
+        lambda: rng.choice((0.9, 0.99, 1.0 - 1e-7, 1.0)),
+        lambda: rng.choice((1e-308, 2e-308, 3e-90, 1e-160, 0.5, 1.0)),
+    ]
+    for i in range(5000):
+        net = random_mixed_network(rng, max_nodes=16, draw=draws[i % len(draws)])
+        n = len(net.nodes)
+        source = rng.randrange(n)
+        base = rng.choice((2.0, math.e, 10.0))
+        for target in (None, rng.randrange(n)):
+            for sign in (1, -1):
+                runs = [
+                    (
+                        _product_sweep(net._out, source, target, sign),
+                        reference_product_sweep(net._out, source, target, sign),
+                    ),
+                    (
+                        _lossiness_sweep(net._out, source, target, base, sign),
+                        reference_lossiness_sweep(net, source, target, base, sign),
+                    ),
+                ]
+                for (value, pred, order), (ref_value, ref_pred, ref_order) in runs:
+                    assert list(value.items()) == list(ref_value.items())
+                    assert list(pred.items()) == list(ref_pred.items())
+                    assert order == ref_order
 
 
 def test_settle_weights_monotone():
