@@ -13,7 +13,9 @@ Two routes to a floor on chain efficiency:
   sources that can still hold the worst pair are searched, not all n.
   Once a search leaves a node unreached or finds a subnormal level, the
   bounds no longer hold, and the remaining sources are searched in node
-  order until the first unreachable pair or the last source.
+  order until the first unreachable pair or the last source.  A node
+  that reaches everything but is not reached from everywhere names the
+  first unreachable pair in one more search.
 
 The tree route needs no second graph type: a symmetric network's
 canonical arcs are its undirected edges, so the tree is the Network over
@@ -47,7 +49,8 @@ class GuaranteedLevel:
     ``sweeps`` counts the forward and backward searches the level ran (0
     for the tree).  Past an unreached node or a subnormal level each
     remaining source costs one forward search, so a level that is
-    subnormal from its first search costs n.
+    subnormal from its first search costs n.  A pair that no chain joins
+    costs at most three when the first source reaches every node.
     """
 
     value: float
@@ -133,7 +136,10 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     backward bounds on directed ones, both in product form).  Once a sweep
     leaves a node unreached, or finds an eccentricity below the smallest
     normal float, the bounds no longer hold: from then on it sweeps the
-    remaining sources forward only, in node order.  Raises
+    remaining sources forward only, in node order.  One case ends sooner:
+    when a source reaches every node but its backward sweep misses some,
+    the first node missed is the first source with an unreached target,
+    and one forward sweep from it names that target.  Raises
     SomePairUnreachable naming the first ordered pair that no chain joins.
     A single-node network has no pairs and is certified at level 1.
     """
@@ -169,6 +175,20 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
             sweeps += 1
             back = _product_sweep(into, source, None, 1)[0]
             bounded = len(back) == n
+            if not bounded and ecc * min(back.values()) >= 2 * sys.float_info.min:
+                # Through source, every node the backward sweep reached
+                # reaches every node: the two legs' weights multiply to at
+                # least twice the smallest normal float, which rounding
+                # cannot take to 0.  So the first source with an unreached
+                # target is the first node that sweep missed, and its own
+                # sweep names the target.  Should rounding let it reach
+                # every node, node order goes on.
+                first = next(v for v in range(n) if v not in back)
+                sweeps += 1
+                reached = _product_sweep(out, first, None, 1)[0]
+                if len(reached) < n:
+                    miss = (first, next(t for t in range(n) if t not in reached))
+                    break
         if not bounded:
             # From here sources go in node order, so every source below the
             # next one is swept: once the next lies above the recorded miss,

@@ -17,12 +17,20 @@ duplicates and conflicts are validated once, by build_network, which
 reports the file line of the offending arc.  Syntax is checked over the
 whole file first, so a file with both kinds of defect reports its first
 syntax error.  Every error carries a 1-based line number.  One leading
-byte-order mark (U+FEFF) is dropped.  read_network reads files as UTF-8;
-a byte sequence that does not decode is a ParseError on the line that
-holds it.
+byte-order mark (U+FEFF) is dropped.
+
+read_network streams the file as UTF-8, line by line, through the same
+syntax pass as parse_network, so the text is never held whole.  The
+syntax pass gives each label its id as it reads it and keeps one string
+per distinct label.  A byte sequence that does not decode is a
+ParseError on the line that holds it, and it wins over every other
+defect: a syntax error found before the bad byte is reported only after
+the rest of the file has decoded.
 """
 
 from array import array
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 from .errors import ParseError
@@ -31,18 +39,50 @@ from .network import Network, _build_network
 
 def parse_network(text: str) -> Network:
     """Parse edge-list text into a validated Network."""
-    if text.startswith("\ufeff"):
-        text = text[1:]  # a byte-order mark, not part of the first label
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # Columns, one entry per arc (two labels in ``endpoints``): no tuple
-    # per line.
-    endpoints: list[str] = []
+    return _build_network(*_syntax_pass(text.split("\n")))
+
+
+def read_network(path: str | Path) -> Network:
+    """Read and parse a UTF-8 edge-list file."""
+    try:
+        with open(path, encoding="utf-8", newline=None) as stream:
+            try:
+                columns = _syntax_pass(stream)
+            except ParseError:
+                # A bad byte later in the file still wins: decode the rest.
+                for _ in stream:
+                    pass
+                raise
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
+    return _build_network(*columns)
+
+
+def _syntax_pass(
+    lines: Iterable[str],
+) -> tuple[list[str], array, array, array, bytearray, array]:
+    """Check the syntax of edge-list lines and gather their arcs as columns.
+
+    A line holds no line end but an optional trailing LF.  Returns the
+    distinct labels in order of first appearance, then one entry per arc:
+    tail and head ids (positions in those labels), efficiencies,
+    undirected flags and file lines, the arguments of _build_network.
+    Each label occurrence costs one dict lookup, and no tuple is built
+    per line.
+    """
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    tails = array("i")
+    heads = array("i")
     effs = array("d")
     undirected = bytearray()
-    lines = array("i")
+    arc_lines = array("i")
     saw_line = False
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    lines = iter(lines)
+    first = next(lines, "").removeprefix("\ufeff")  # not part of the first label
+    for lineno, line in enumerate(chain((first,), lines), start=1):
         fields = line.split(",")
         count = len(fields)
         if count != 3 and count != 4:
@@ -72,31 +112,28 @@ def parse_network(text: str) -> Network:
                 raise ParseError(
                     f"mode must be 'dir' or 'undir', got {mode!r}", line=lineno
                 )
-        endpoints.append(fields[0].strip())
-        endpoints.append(fields[1].strip())
+        # A new label takes the next id: the count of labels seen before it.
+        tails.append(intern(fields[0].strip(), len(ids)))
+        heads.append(intern(fields[1].strip(), len(ids)))
         effs.append(eta)
         undirected.append(undir)
-        lines.append(lineno)
-    return _build_network(endpoints, effs, undirected, lines)
+        arc_lines.append(lineno)
+    return list(ids), tails, heads, effs, undirected, arc_lines
 
 
-def read_network(path: str | Path) -> Network:
-    """Read and parse a UTF-8 edge-list file."""
-    return parse_network(_read_text(path))
-
-
-def _read_text(path: str | Path) -> str:
-    """The file decoded as UTF-8; a byte that does not decode is a ParseError
-    on its line, counted with the line ends parse_network uses."""
+def _decode_error(path: str | Path) -> ParseError:
+    """The error for a file that is not UTF-8: its first bad byte, on its
+    line, counted with the line ends parse_network uses."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[: exc.start]
         line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
-        raise ParseError(
+        return ParseError(
             f"not UTF-8 text: {exc.reason} (byte {data[exc.start]:#04x})", line=line
-        ) from None
+        )
+    raise AssertionError(f"{path} decoded as UTF-8 on a second read")
 
 
 def render_network(net: Network) -> str:

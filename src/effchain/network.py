@@ -36,7 +36,7 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress, count, starmap
+from itertools import accumulate, compress, starmap
 
 from .algebra import check_efficiency
 from .errors import (
@@ -271,51 +271,52 @@ def build_network(raw_arcs: list[RawArc] | tuple[RawArc, ...]) -> Network:
     the smaller label).  Opposite arcs with different efficiencies are
     both kept.  Rebuilding from a built network's arcs reproduces it.
     """
-    endpoints: list[str] = []
+    ids: dict[str, int] = {}
+    intern = ids.setdefault
+    tails = array("i")
+    heads = array("i")
     effs: list[float] = []
     undirected = bytearray()
     for tail, head, eta, undir in raw_arcs:
-        endpoints.append(tail)
-        endpoints.append(head)
+        tails.append(intern(tail, len(ids)))
+        heads.append(intern(head, len(ids)))
         effs.append(eta)
         undirected.append(bool(undir))
-    return _build_network(endpoints, effs, undirected, None)
+    return _build_network(list(ids), tails, heads, effs, undirected, None)
 
 
 def _build_network(
     labels: list[str],
+    tail_ids: array,
+    head_ids: array,
     effs: Sequence[float],
     undirected: bytearray,
     lines: Sequence[int] | None,
 ) -> Network:
-    """build_network on columns: ``labels`` holds each arc's tail and then
-    its head, and ``lines[i]`` is the file line of arc ``i``.
+    """build_network on columns: ``labels`` holds the distinct labels in
+    order of first appearance, arc ``i`` runs from ``labels[tail_ids[i]]``
+    to ``labels[head_ids[i]]``, and ``lines[i]`` is its file line.
 
     The one validation pass.  Every error carries the line of the arc that
     raised it, and a duplicate cites the line of its first declaration.
-    Labels get ids in the order they are first seen, the duplicate and
-    conflict checks key on ``low_id << 32 | high_id``, and ids are
-    remapped to label order once at the end, so the per-arc loop builds
-    no tuple and compares no labels.  ``labels`` is emptied before the
-    adjacency is built, so the collector does not trace it meanwhile.
+    The duplicate and conflict checks key on ``low_id << 32 | high_id``,
+    and ids are remapped to label order once at the end, so the per-arc
+    loop builds no tuple and compares no labels.  The dicts of that check
+    are freed before the sort keys and the adjacency are built.
     """
-    # A label's id is its position in ``labels`` where it first appears:
-    # arc i's tail is new where its id is 2i, its head where it is 2i + 1.
-    first_at: dict[str, int] = {}
-    ids = array("i", map(first_at.setdefault, labels, count()))
-    tail_ids = ids[::2]
-    head_ids = ids[1::2]
-    del ids
     # The first arc on each unordered pair, keyed low_id << 32 | high_id,
     # and the second where a pair holds two opposite directed arcs.
     pairs: dict[int, int] = {}
     seconds: dict[int, int] = {}
+    seen = 0  # ids are given in order of first appearance: the next is new
 
     for i, (t, h, eta, undir) in enumerate(zip(tail_ids, head_ids, effs, undirected)):
-        if t == 2 * i:
+        if t == seen:
             validate_label(labels[t], line=_line(lines, i))
-        if h > 2 * i:
+            seen += 1
+        if h == seen:
             validate_label(labels[h], line=_line(lines, i))
+            seen += 1
         if t == h:
             tail = labels[t]
             raise SelfLoop(f"self-loop on node {tail!r}", line=_line(lines, i), pair=(tail, tail))
@@ -338,9 +339,9 @@ def _build_network(
             if second != i:
                 raise _duplicate(tail, head, False, lines, i, second)
 
-    n = len(first_at)
-    order = sorted(first_at.values(), key=labels.__getitem__)
-    rank = array("i", [0]) * len(labels)
+    n = len(labels)
+    order = sorted(range(n), key=labels.__getitem__)
+    rank = array("i", [0]) * n
     for r, j in enumerate(order):
         rank[j] = r
     flags = bytearray(undirected)
@@ -352,6 +353,7 @@ def _build_network(
             keep, drop = (i, j) if rank[tail_ids[i]] < rank[tail_ids[j]] else (j, i)
             flags[keep] = 1
             dropped.append(drop)
+    del pairs, seconds
     # One int per arc sorts into canonical (tail, head) order and still
     # names the arc and whether it is undirected; a link's tail is its
     # smaller label.
@@ -378,7 +380,6 @@ def _build_network(
     effs_c = array("d", [effs[(k & arc_mask) >> 1] for k in keys])
     flags_c = bytearray([k & 1 for k in keys])
     del keys, order
-    labels.clear()
     return Network(nodes, dict(zip(nodes, range(n))), tails_c, heads_c, effs_c, flags_c)
 
 

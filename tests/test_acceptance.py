@@ -290,11 +290,11 @@ def test_08_cli_contract(tmp_path, capsys):
     demo = tmp_path / "demo.csv"
     demo.write_text(render_network(demo_energy_network()), encoding="utf-8")
     triangle = tmp_path / "triangle.csv"
-    triangle.write_text("a,b,0.9,undir\nb,c,0.8,undir\na,c,0.7,undir\n")
+    triangle.write_text("a,b,0.9,undir\nb,c,0.8,undir\na,c,0.7,undir\n", encoding="utf-8")
     malformed = tmp_path / "malformed.csv"
-    malformed.write_text("a,b\n")
+    malformed.write_text("a,b\n", encoding="utf-8")
     split = tmp_path / "split.csv"
-    split.write_text("a,b,0.9,undir\nc,d,0.9,undir\n")
+    split.write_text("a,b,0.9,undir\nc,d,0.9,undir\n", encoding="utf-8")
 
     matrix = [
         (["best-chain", str(demo), "--from", "a", "--to", "z"], 0),

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import effchain.guarantee
 from effchain import (
     Chain,
     NotConnected,
@@ -27,6 +28,7 @@ from helpers import (
     sparse_undirected,
     underflow_path,
 )
+from effchain.routing import _product_sweep
 from oracle import brute_best_tree
 
 
@@ -191,6 +193,51 @@ def test_unreached_pair_is_the_first_in_node_order():
         guaranteed_min_all_pairs(net)
     assert info.value.pair == ("b", "c")
     assert str(info.value) == "no chain from b to c"
+
+
+def _count_sweeps(monkeypatch) -> list[int]:
+    """The source of every sweep guaranteed_min_all_pairs runs from now on."""
+    sources = []
+
+    def counted(adj, source, target, sign):
+        sources.append(source)
+        return _product_sweep(adj, source, target, sign)
+
+    monkeypatch.setattr(effchain.guarantee, "_product_sweep", counted)
+    return sources
+
+
+def test_a_source_that_reaches_nothing_is_named_in_three_sweeps(monkeypatch):
+    # Every node of the symmetric part reaches every node, and zzz, last in
+    # node order, reaches none.  Sweeping sources in node order would take
+    # 1,501 sweeps to reach it.
+    rng = random.Random(607)
+    names = [f"s{i:05d}" for i in range(1500)]
+    raws = [(names[rng.randrange(i)], names[i], 1.0 - rng.random(), True) for i in range(1, 1500)]
+    raws.append((names[-1], "zzz", 0.5, False))
+    net = build_network(raws)
+    sources = _count_sweeps(monkeypatch)
+    with pytest.raises(SomePairUnreachable) as info:
+        guaranteed_min_all_pairs(net)
+    assert info.value.pair == ("zzz", "s00000")
+    assert len(sources) == 3
+
+
+def test_unreachable_pair_after_a_full_first_sweep_matches_full_sweep(monkeypatch):
+    rng = random.Random(608)
+    sources = _count_sweeps(monkeypatch)
+    shortcuts = 0
+    for _ in range(400):
+        make = rng.choice((random_directed_network, random_mixed_network))
+        net = make(rng, max_nodes=12)
+        sources.clear()
+        got = _level_or_unreachable(guaranteed_min_all_pairs, net)
+        assert got == _level_or_unreachable(_all_pairs_full_sweep, net)
+        first_reaches_all = len(_product_sweep(net._out, 0, None, 1)[0]) == len(net.nodes)
+        if got[0] == "unreachable" and first_reaches_all:
+            assert len(sources) <= 3
+            shortcuts += 1
+    assert shortcuts >= 20
 
 
 def test_all_pairs_on_directed_cycle():

@@ -1,4 +1,7 @@
+import gc
 import random
+import tracemalloc
+import warnings
 
 import pytest
 
@@ -6,6 +9,7 @@ from effchain import (
     BadLabel,
     ConflictingArc,
     DuplicateArc,
+    EffchainError,
     EfficiencyOutOfRange,
     ParseError,
     SelfLoop,
@@ -227,3 +231,93 @@ def test_to_dot_escapes_quotes_and_backslashes():
         '  "a\\"b" -> "c\\\\" [label="0.5"];\n'
         "}\n"
     )
+
+
+@pytest.mark.parametrize("at", [8190, 8191, 8192, 8193, 16383, 16384])
+def test_read_network_joins_a_crlf_split_across_chunks(tmp_path, at):
+    # The first line's \r sits at byte ``at``, its \n at the next byte: a
+    # reader that takes them for two line ends counts every later line one
+    # too many.
+    text = "x" * (at - len(",b,0.5")) + ",b,0.5\r\nb,c,0.5\r\nc,d,2.0\r\n"
+    assert text.index("\r") == at
+    path = tmp_path / "net.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(EfficiencyOutOfRange) as exc_info:
+        read_network(path)
+    assert exc_info.value.line == 3
+    path.write_bytes(text.replace("2.0", "0.5").encode("utf-8"))
+    assert read_network(path) == parse_network(text.replace("2.0", "0.5"))
+
+
+@pytest.mark.parametrize("defect", ["a,b", "a,b,oops", "a,a,0.5", "a,b,0.5"])
+def test_a_bad_byte_past_the_first_chunk_wins_over_any_defect(tmp_path, defect):
+    # Line 2 holds a syntax or validation defect (or repeats line 1); the
+    # bad byte, on line 2002, is far past the first chunk the reader decodes.
+    good = "".join(f"n{i:04d},m{i:04d},0.5\n" for i in range(1999))
+    data = f"a,b,0.5\n{defect}\n{good}".encode() + b"bad\xff,c,0.5\n"
+    path = tmp_path / "net.csv"
+    path.write_bytes(data)
+    assert data.index(b"\xff") > 16384
+    with pytest.raises(ParseError, match="not UTF-8") as exc_info:
+        read_network(path)
+    assert exc_info.value.line == 2002
+
+
+def _error_of_read(path):
+    """The class and line read_network raises, keeping no frame alive."""
+    try:
+        read_network(path)
+    except EffchainError as exc:
+        return type(exc), exc.line
+    return None
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"a,b,0.5\na,b\n", ParseError),
+        (b"a,b,0.5\n\xff\n", ParseError),
+        (b"a,b\n\xff\n", ParseError),
+        (b"a,b,0.5\nb,b,0.5\n", SelfLoop),
+    ],
+)
+def test_read_network_closes_the_file_on_every_error(tmp_path, data, error):
+    path = tmp_path / "net.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _error_of_read(path) == (error, 2)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_read_network_peaks_well_under_twice_what_the_network_keeps(tmp_path):
+    # 5k nodes and 25k arcs: a path through every node plus random arcs,
+    # about a fifth of them undirected.  The streaming load peaks at ~1.3
+    # times what the network keeps.  Keeping the duplicate check's dicts
+    # alive while the adjacency is built reads ~2.0; holding the text
+    # whole, one string per label occurrence and those dicts reads ~2.6.
+    rng = random.Random(609)
+    n, m = 5000, 25000
+    names = [f"n{i:05d}" for i in range(n)]
+    pairs = {(i, i + 1) for i in range(n - 1)}
+    while len(pairs) < m:
+        i, j = rng.sample(range(n), 2)
+        if (j, i) not in pairs:
+            pairs.add((i, j))
+    lines = ["tail,head,efficiency,mode"]
+    for i, j in pairs:
+        mode = "undir" if rng.random() < 0.2 else "dir"
+        lines.append(f"{names[i]},{names[j]},{1.0 - rng.random()!r},{mode}")
+    path = tmp_path / "net.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    del lines, pairs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = read_network(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(net.nodes) == n and len(net._effs) == m
+    assert peak <= 1.6 * kept
