@@ -66,7 +66,7 @@ def _cmd_guaranteed_min(args) -> int:
         payload: dict = {"value": round(level.value, 8), "method": level.method}
         if level.tree is not None:
             payload["tree"] = [
-                [e.tail, e.head, e.efficiency] for e in level.tree.arcs
+                [tail, head, eta] for tail, head, eta, _ in level.tree._arc_rows()
             ]
         if level.worst_pair is not None:
             payload["worst_pair"] = list(level.worst_pair)
@@ -76,7 +76,7 @@ def _cmd_guaranteed_min(args) -> int:
         print(f"{level.value:.8f}")
         print(f"method: {level.method}")
         if level.tree is not None:
-            edges = " ".join(f"{e.tail}--{e.head}" for e in level.tree.arcs)
+            edges = " ".join(f"{tail}--{head}" for tail, head, *_ in level.tree._arc_rows())
             print(f"tree: {edges}")
         if level.worst_pair is not None:
             u, v = level.worst_pair

@@ -15,12 +15,16 @@ Two routes to a floor on chain efficiency:
   bounds no longer hold, and the remaining sources are searched in node
   order until the first unreachable pair or the last source.  A node
   that reaches everything but is not reached from everywhere names the
-  first unreachable pair in one more search.
+  first unreachable pair in one more search.  Its backward searches walk
+  the rows of steps entering each node, which the network builds from
+  its columns on first use, with the builder of its forward rows, and
+  keeps; a symmetric network's forward rows serve both ways.
 
 The tree route needs no second graph type: a symmetric network's
 canonical arcs are its undirected edges, so the tree is the Network over
 the chosen ones, kept in canonical order, and a tree path is a search
-over that Network.
+over that Network.  The tree level reads only the columns, so neither the
+network's nor the tree's search rows are built.
 """
 
 import math
@@ -147,10 +151,10 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     n = len(nodes)
     if n <= 1:
         return GuaranteedLevel(value=1.0, method="all-pairs")
-    out = net._out
-    # Rows of steps into each node; an undirected link serves both ways,
-    # so a symmetric network's forward sweep is its backward sweep too.
-    into = out if 0 not in net._undirected else _reversed_rows(out)
+    out = net._out_rows()
+    # Rows of steps into each node, kept on the network; a symmetric
+    # network's are its forward rows.
+    into = net._in_rows()
     lower = [0.0] * n  # lower[v] <= ecc(v)
     upper = [1.0] * n  # ecc(v) <= upper[v]
     swept = [False] * n
@@ -161,21 +165,24 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     source = 0
     while True:
         sweeps += 1
-        weight, pred, _ = _product_sweep(out, source, None, 1)
+        weight, pred, order = _product_sweep(out, source, None, 1)
         swept[source] = True
-        if len(weight) < n:
-            miss = (source, next(t for t in range(n) if t not in weight))
-        ecc = min(weight.values())
+        # A full sweep settles every node it reaches, each once.
+        if len(order) < n:
+            miss = (source, weight.index(0.0))
+        ecc = min(map(weight.__getitem__, order))
         if ecc < best_value or (ecc == best_value and source < best_source):
             best_value, best_source, best_weight, best_pred = ecc, source, weight, pred
         # A subnormal weight has lost relative precision, so it bounds nothing.
-        bounded = bounded and len(weight) == n and ecc >= sys.float_info.min
+        bounded = bounded and len(order) == n and ecc >= sys.float_info.min
         back = weight
         if bounded and into is not out:
             sweeps += 1
-            back = _product_sweep(into, source, None, 1)[0]
-            bounded = len(back) == n
-            if not bounded and ecc * min(back.values()) >= 2 * sys.float_info.min:
+            back, _, back_order = _product_sweep(into, source, None, 1)
+            bounded = len(back_order) == n
+            if not bounded and (
+                ecc * min(map(back.__getitem__, back_order)) >= 2 * sys.float_info.min
+            ):
                 # Through source, every node the backward sweep reached
                 # reaches every node: the two legs' weights multiply to at
                 # least twice the smallest normal float, which rounding
@@ -183,11 +190,11 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
                 # target is the first node that sweep missed, and its own
                 # sweep names the target.  Should rounding let it reach
                 # every node, node order goes on.
-                first = next(v for v in range(n) if v not in back)
+                first = back.index(0.0)
                 sweeps += 1
-                reached = _product_sweep(out, first, None, 1)[0]
-                if len(reached) < n:
-                    miss = (first, next(t for t in range(n) if t not in reached))
+                reached, _, reached_order = _product_sweep(out, first, None, 1)
+                if len(reached_order) < n:
+                    miss = (first, reached.index(0.0))
                     break
         if not bounded:
             # From here sources go in node order, so every source below the
@@ -226,13 +233,3 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
         sweeps=sweeps,
     )
 
-
-def _reversed_rows(
-    out: list[list[tuple[int, float]]],
-) -> list[list[tuple[int, float]]]:
-    """Per head id, the (tail id, efficiency) steps entering it, by tail id."""
-    rows: list[list[tuple[int, float]]] = [[] for _ in out]
-    for tail, row in enumerate(out):
-        for head, eta in row:
-            rows[head].append((tail, eta))
-    return rows

@@ -11,13 +11,19 @@ node id ``i`` is ``nodes[i]``, so ordering by id is ordering by label.
 
 A Network stores its arcs as columns in canonical (tail, head) order:
 tail ids and head ids (``array('i')``), efficiencies (``array('d')``) and
-undirected flags (a ``bytearray``).  Its one adjacency lists, per id, the
-(head id, efficiency) steps leaving that node in ascending id order;
-every lookup and both search routes read it.  The ``arcs`` tuple of Arc
-objects is built from the columns only when something reads it, and
-then kept: loading, searching, the guaranteed levels and rendering never
-need it.  Among nodes of equal weight a search settles the smaller label
-first under tie_break="low" and the larger under "high".
+undirected flags (a ``bytearray``).  The columns are the storage of
+record; everything else is built from them on first use and then kept.
+The search index lists, per id, the steps leaving that node in
+compressed sparse row (CSR) form: three flat lists ``first`` (n + 1
+offsets), ``to`` (neighbour ids) and ``eta`` (efficiencies), row ``v``
+being ``to[first[v]:first[v + 1]]`` in ascending id order.  Every lookup
+and both search routes read it; loading, rendering, classifying and the
+tree level never build it.  The backward rows (the steps entering each
+node) come from the same builder on the swapped columns, for the exact
+level on networks with directed arcs.  The ``arcs`` tuple of Arc objects
+is built only when something reads it.  Among nodes of equal weight a
+search settles the smaller label first under tie_break="low" and the
+larger under "high".
 
 A symmetric network needs no second representation: each of its arcs is
 an undirected link stored once with tail < head, so its canonical arcs
@@ -28,6 +34,9 @@ and the connectivity test reads the columns.
 build_network is the one way in: every Network comes out of its
 validation pass, or is a subset of one that did.  Networks are immutable
 and safe to share across threads; each query owns its own working state.
+Threads that race to build the same index or ``arcs`` tuple each build it
+from the same columns, so they build equal ones, and whichever is stored
+last is kept.
 """
 
 import re
@@ -87,6 +96,11 @@ def validate_label(label: str, *, line: int | None = None) -> str:
     return label
 
 
+# CSR rows (first, to, eta): row v is to[first[v]:first[v + 1]], ascending
+# by id, with the steps' efficiencies at the same positions of eta.
+Rows = tuple[list[int], list[int], list[float]]
+
+
 class Network:
     """An immutable arc-weighted directed graph with optional undirected links.
 
@@ -95,15 +109,19 @@ class Network:
     canonical order.  The constructor trusts its columns: labels
     ascending with ``index[nodes[i]] == i``, at most one arc per (tail,
     head), sorted by (tail id, head id), each undirected one with tail <
-    head.  It only builds the adjacency.
+    head.  It builds nothing.
 
     The arcs live in four columns, indexed alike: ``_tails``, ``_heads``,
     ``_effs`` and ``_undirected``.  Equality and hashing compare the
-    labels and these columns; ``arcs`` builds its Arc tuple from them on
-    first read.
+    labels and these columns.  ``arcs`` builds its Arc tuple from them on
+    first read, and the first search builds the rows it walks; both are
+    kept.
     """
 
-    __slots__ = ("_nodes", "_index", "_tails", "_heads", "_effs", "_undirected", "_out", "_arcs")
+    __slots__ = (
+        "_nodes", "_index", "_tails", "_heads", "_effs", "_undirected",
+        "_forward", "_backward", "_arcs",
+    )
 
     def __init__(
         self,
@@ -120,7 +138,8 @@ class Network:
         self._heads = heads
         self._effs = effs
         self._undirected = undirected
-        self._out = _adjacency(list(index.values()), tails, heads, effs, undirected)
+        self._forward: Rows | None = None
+        self._backward: Rows | None = None
         self._arcs: tuple[Arc, ...] | None = None
 
     @property
@@ -153,6 +172,28 @@ class Network:
             map(bool, self._undirected),
         )
 
+    def _out_rows(self) -> Rows:
+        """The search index: per id, the steps leaving that node.
+
+        Built from the columns on first call and kept.  Two threads that
+        race here build equal rows, so either may win.
+        """
+        rows = self._forward
+        if rows is None:
+            rows = self._forward = _csr(self, self._tails, self._heads, True)
+        return rows
+
+    def _in_rows(self) -> Rows:
+        """Per id, the steps entering that node; built and kept as
+        _out_rows is.  On a network of links only, the steps entering a
+        node mirror those leaving it, so its forward rows serve."""
+        if 0 not in self._undirected:
+            return self._out_rows()
+        rows = self._backward
+        if rows is None:
+            rows = self._backward = _csr(self, self._heads, self._tails, False)
+        return rows
+
     def out_neighbors(self, u: str) -> list[tuple[str, float]]:
         """Nodes reachable from ``u`` in one service-carrying step.
 
@@ -161,21 +202,24 @@ class Network:
         ascending label order.
         """
         try:
-            row = self._out[self._index[u]]
+            v = self._index[u]
         except KeyError:
             raise UnknownNode(f"no node {u!r} in network") from None
+        first, to, eta = self._out_rows()
         nodes = self._nodes
-        return [(nodes[v], eta) for v, eta in row]
+        return [(nodes[to[k]], eta[k]) for k in range(first[v], first[v + 1])]
 
     def _step(self, u: str, v: str) -> float | None:
         """Efficiency of the step u -> v, or None when there is none."""
         try:
-            row = self._out[self._index[u]]
+            tail = self._index[u]
             head = self._index[v]
         except KeyError:
             return None
-        k = bisect_left(row, (head,))
-        return row[k][1] if k < len(row) and row[k][0] == head else None
+        first, to, eta = self._out_rows()
+        end = first[tail + 1]
+        k = bisect_left(to, head, first[tail], end)
+        return eta[k] if k < end and to[k] == head else None
 
     def step_efficiency(self, u: str, v: str) -> float:
         """Efficiency of the single step u -> v, if the network carries one."""
@@ -206,31 +250,47 @@ class Network:
         return f"Network({len(self._nodes)} nodes, {len(self._effs)} arcs)"
 
 
-def _adjacency(
-    ids: list[int], tails: array, heads: array, effs: array, undirected: bytearray
-) -> list[list[tuple[int, float]]]:
-    """Per node id, the (head id, efficiency) steps leaving it, by head id.
+def _csr(net: Network, keys: array, vals: array, grouped: bool) -> Rows:
+    """CSR rows of ``net``'s steps, one row per id of ``keys``.
 
-    The columns are in canonical order, so a node's directed arcs and the
-    links it is the tail of form one run of ascending heads: its row is
-    that run.  A row that also gains the reverse step of a link is sorted
-    once at the end.  Steps hold the int objects of ``ids`` (the index's
-    values), not one int per step: the searches' dicts keyed by id then
-    match a step's id by identity, their fast path.  A link's two
-    steps share one float.
+    Arc ``i`` gives row ``keys[i]`` the step to ``vals[i]``, and a link
+    also gives row ``vals[i]`` the step to ``keys[i]``; each row lists its
+    steps by ascending id.  (tails, heads) gives the steps leaving each
+    node, (heads, tails) the steps entering it.  When ``keys`` is
+    ascending (``grouped``) and there is no link, the columns as they
+    stand are the rows.  Otherwise one sort of (row, id, arc) keys puts
+    every step in place; no two steps of a row share an id, so the arc
+    index only names the efficiency.  ``to`` holds the int objects of the
+    index's values, not one int per step, and a link's two steps share
+    one float.
     """
+    ids = list(net._index.values())
+    effs, undirected = net._effs, net._undirected
     counts = [0] * len(ids)
-    for tail in tails:
-        counts[tail] += 1
-    steps = list(zip(map(ids.__getitem__, heads), effs))
-    out = [steps[a:b] for a, b in zip(accumulate(counts, initial=0), accumulate(counts))]
-    touched = set()
-    for tail, (head, eta) in compress(zip(tails, steps), undirected):
-        out[head].append((ids[tail], eta))
-        touched.add(head)
-    for head in touched:
-        out[head].sort()
-    return out
+    for key in keys:
+        counts[key] += 1
+    for val in compress(vals, undirected):
+        counts[val] += 1
+    first = list(accumulate(counts, initial=0))
+    if grouped and 1 not in undirected:
+        return first, list(map(ids.__getitem__, vals)), list(effs)
+    node_bits = max(len(ids) - 1, 1).bit_length()
+    arc_bits = max(len(effs) - 1, 1).bit_length()
+    arcs = range(len(effs))
+    steps = [(k << node_bits | v) << arc_bits | i for i, k, v in zip(arcs, keys, vals)]
+    steps += [
+        (v << node_bits | k) << arc_bits | i
+        for i, k, v in compress(zip(arcs, keys, vals), undirected)
+    ]
+    steps.sort()
+    node_mask = (1 << node_bits) - 1
+    arc_mask = (1 << arc_bits) - 1
+    etas = list(effs)
+    return (
+        first,
+        [ids[s >> arc_bits & node_mask] for s in steps],
+        [etas[s & arc_mask] for s in steps],
+    )
 
 
 class _DisjointSet:

@@ -26,7 +26,7 @@ from heapq import heappop, heappush
 
 from .algebra import _check_base, chain_efficiency
 from .errors import UnknownNode
-from .network import Network
+from .network import Network, Rows
 
 TieBreak = str  # "low": settle the smallest label among ties; "high": the largest
 
@@ -66,13 +66,16 @@ def _node_id(net: Network, label: str) -> int:
 
 
 def _product_sweep(
-    adj: list[list[tuple[int, float]]], source: int, target: int | None, sign: int
-) -> tuple[dict[int, float], dict[int, int], list[int]]:
+    rows: Rows, source: int, target: int | None, sign: int
+) -> tuple[list[float], dict[int, int], list[int]]:
     """multiplicative_search over node ids, with ties settled by ``sign``.
 
-    ``adj`` lists each id's (neighbour id, efficiency) steps: ``net._out``
-    searches forward; rows reversed arc by arc search backward, giving the
-    best chain *into* ``source`` from every node.
+    ``rows`` are CSR rows of (neighbour id, efficiency) steps:
+    ``net._out_rows()`` searches forward; ``net._in_rows()`` searches
+    backward, giving the best chain *into* ``source`` from every node.
+    Returns the weight of every id (0.0 = unreached), the predecessor of
+    each reached id but the source in the order they were first reached,
+    and the settle order.
 
     No settled set: a step never raises a weight (efficiencies are at most
     1 and IEEE ``*`` is monotone), so nodes settle in non-increasing weight
@@ -80,7 +83,9 @@ def _product_sweep(
     is stale, and a neighbour already at the settling weight or above
     (every settled one is) cannot improve.
     """
-    weight = {source: 1.0}
+    first, to, eta = rows
+    weight = [0.0] * (len(first) - 1)
+    weight[source] = 1.0
     pred: dict[int, int] = {}
     order: list[int] = []
     heap = [(-1.0, sign * source)]
@@ -93,11 +98,12 @@ def _product_sweep(
         order.append(v)
         if v == target:
             break
-        for u, eta in adj[v]:
-            old = weight.get(u, 0.0)
+        for k in range(first[v], first[v + 1]):
+            u = to[k]
+            old = weight[u]
             if old >= w:
                 continue
-            candidate = w * eta
+            candidate = w * eta[k]
             # Strict improvement only: an equal-weight candidate never
             # overwrites an existing history.
             if candidate > old:
@@ -108,17 +114,20 @@ def _product_sweep(
 
 
 def _lossiness_sweep(
-    adj: list[list[tuple[int, float]]], source: int, target: int | None, base: float, sign: int
-) -> tuple[dict[int, float], dict[int, int], list[int]]:
+    rows: Rows, source: int, target: int | None, base: float, sign: int
+) -> tuple[list[float], dict[int, int], list[int]]:
     """additive_search over node ids, with ties settled by ``sign``.
 
-    No settled set, as in _product_sweep: a lossiness is at least 0 and
-    IEEE ``+`` is monotone, so nodes settle in non-decreasing distance.  A
+    Returns as _product_sweep does, with distances (inf = unreached).  No
+    settled set, as in _product_sweep: a lossiness is at least 0 and IEEE
+    ``+`` is monotone, so nodes settle in non-decreasing distance.  A
     popped entry above its node's distance is stale, and a neighbour
     already at the settling distance or below cannot improve.
     """
+    first, to, eta = rows
     log_base = math.log(base)
-    dist = {source: 0.0}
+    dist = [math.inf] * (len(first) - 1)
+    dist[source] = 0.0
     pred: dict[int, int] = {}
     order: list[int] = []
     heap = [(0.0, sign * source)]
@@ -130,11 +139,12 @@ def _lossiness_sweep(
         order.append(v)
         if v == target:
             break
-        for u, eta in adj[v]:
-            old = dist.get(u, math.inf)
+        for k in range(first[v], first[v + 1]):
+            u = to[k]
+            old = dist[u]
             if old <= d:
                 continue
-            candidate = d + abs(math.log(eta) / log_base)
+            candidate = d + abs(math.log(eta[k]) / log_base)
             if candidate < old:
                 dist[u] = candidate
                 pred[u] = v
@@ -142,11 +152,24 @@ def _lossiness_sweep(
     return dist, pred, order
 
 
-def _labelled(net: Network, value: dict, pred: dict, order: list) -> tuple:
-    """A sweep's id-keyed (value, pred, order), translated to labels."""
+def _reached(value: list[float], pred: dict[int, int], source: int) -> dict[int, float]:
+    """A sweep's values of the reached ids, in the order they were reached.
+
+    A node enters ``pred`` exactly when it is first reached, and the
+    source is reached before any other.
+    """
+    reached = {source: value[source]}
+    for v in pred:
+        reached[v] = value[v]
+    return reached
+
+
+def _labelled(net: Network, source: int, value: list, pred: dict, order: list) -> tuple:
+    """A sweep's id-indexed (value, pred, order) from ``source``, translated
+    to labels."""
     nodes = net.nodes
     return (
-        {nodes[v]: x for v, x in value.items()},
+        {nodes[v]: x for v, x in _reached(value, pred, source).items()},
         {nodes[v]: nodes[p] for v, p in pred.items()},
         [nodes[v] for v in order],
     )
@@ -166,7 +189,8 @@ def multiplicative_search(
     """
     sign, source_id = _tie_sign(tie_break), _node_id(net, source)
     target_id = None if target is None else _node_id(net, target)
-    return _labelled(net, *_product_sweep(net._out, source_id, target_id, sign))
+    rows = net._out_rows()
+    return _labelled(net, source_id, *_product_sweep(rows, source_id, target_id, sign))
 
 
 def additive_search(
@@ -186,7 +210,8 @@ def additive_search(
     _check_base(base)
     sign, source_id = _tie_sign(tie_break), _node_id(net, source)
     target_id = None if target is None else _node_id(net, target)
-    return _labelled(net, *_lossiness_sweep(net._out, source_id, target_id, base, sign))
+    rows = net._out_rows()
+    return _labelled(net, source_id, *_lossiness_sweep(rows, source_id, target_id, base, sign))
 
 
 def _chain_nodes(
@@ -214,7 +239,7 @@ def best_chain_multiplicative(
     source, target = _node_id(net, a), _node_id(net, z)
     if source == target:
         return Chain((a,), 1.0)
-    weight, pred, _ = _product_sweep(net._out, source, target, sign)
+    weight, pred, _ = _product_sweep(net._out_rows(), source, target, sign)
     if target not in pred:
         return None
     return Chain(_chain_nodes(net, pred, source, target), weight[target])
@@ -236,7 +261,7 @@ def best_chain_via_lossiness(
     source, target = _node_id(net, a), _node_id(net, z)
     if source == target:
         return Chain((a,), 1.0)
-    _, pred, _ = _lossiness_sweep(net._out, source, target, base, sign)
+    _, pred, _ = _lossiness_sweep(net._out_rows(), source, target, base, sign)
     if target not in pred:
         return None
     nodes = _chain_nodes(net, pred, source, target)

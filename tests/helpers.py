@@ -3,9 +3,10 @@
 import math
 import random
 import string
+from array import array
 from collections.abc import Callable
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import accumulate, combinations, compress
 from typing import NamedTuple
 
 from effchain import (
@@ -23,8 +24,8 @@ from effchain import (
     check_efficiency,
     validate_label,
 )
-from effchain.network import RawArc
-from effchain.routing import _chain_nodes, _product_sweep
+from effchain.network import RawArc, Rows
+from effchain.routing import _chain_nodes, _product_sweep, _reached
 
 
 def labels_for(n: int) -> list[str]:
@@ -317,7 +318,8 @@ def _all_pairs_full_sweep(net: Network) -> GuaranteedLevel:
     best_value = 2.0  # above any attainable efficiency
     best_pair: tuple[int, int] | None = None
     for source in range(len(nodes)):
-        weight, pred, _ = _product_sweep(net._out, source, None, 1)
+        weight, pred, _ = _product_sweep(net._out_rows(), source, None, 1)
+        weight = _reached(weight, pred, source)
         for target in range(len(nodes)):
             if target == source:
                 continue
@@ -349,7 +351,7 @@ def reference_product_sweep(
 ) -> tuple[dict[int, float], dict[int, int], list[int]]:
     """multiplicative_search over node ids, with ties settled by ``sign``.
 
-    ``adj`` lists each id's (neighbour id, efficiency) steps: ``net._out``
+    ``adj`` lists each id's (neighbour id, efficiency) steps: ``reference_rows``
     searches forward; rows reversed arc by arc search backward, giving the
     best chain *into* ``source`` from every node.
     """
@@ -386,7 +388,7 @@ def reference_lossiness_sweep(
 ) -> tuple[dict[int, float], dict[int, int], list[int]]:
     """additive_search over node ids, with ties settled by ``sign``."""
     log_base = math.log(base)
-    adj = net._out
+    adj = reference_rows(net)
     dist = {source: 0.0}
     pred: dict[int, int] = {}
     settled: set[int] = set()
@@ -410,3 +412,57 @@ def reference_lossiness_sweep(
                 pred[u] = v
                 heappush(heap, (candidate, sign * u))
     return dist, pred, order
+
+
+# The adjacency builders effchain used before its CSR search index, kept
+# verbatim: rows of (neighbour id, efficiency) tuples, the references the
+# index's forward and backward rows must equal in content and order.
+
+
+def reference_adjacency(
+    ids: list[int], tails: array, heads: array, effs: array, undirected: bytearray
+) -> list[list[tuple[int, float]]]:
+    """Per node id, the (head id, efficiency) steps leaving it, by head id.
+
+    The columns are in canonical order, so a node's directed arcs and the
+    links it is the tail of form one run of ascending heads: its row is
+    that run.  A row that also gains the reverse step of a link is sorted
+    once at the end.  Steps hold the int objects of ``ids`` (the index's
+    values), not one int per step: the searches' dicts keyed by id then
+    match a step's id by identity, their fast path.  A link's two
+    steps share one float.
+    """
+    counts = [0] * len(ids)
+    for tail in tails:
+        counts[tail] += 1
+    steps = list(zip(map(ids.__getitem__, heads), effs))
+    out = [steps[a:b] for a, b in zip(accumulate(counts, initial=0), accumulate(counts))]
+    touched = set()
+    for tail, (head, eta) in compress(zip(tails, steps), undirected):
+        out[head].append((ids[tail], eta))
+        touched.add(head)
+    for head in touched:
+        out[head].sort()
+    return out
+
+
+def reference_reversed_rows(
+    out: list[list[tuple[int, float]]],
+) -> list[list[tuple[int, float]]]:
+    """Per head id, the (tail id, efficiency) steps entering it, by tail id."""
+    rows: list[list[tuple[int, float]]] = [[] for _ in out]
+    for tail, row in enumerate(out):
+        for head, eta in row:
+            rows[head].append((tail, eta))
+    return rows
+
+
+def reference_rows(net: Network) -> list[list[tuple[int, float]]]:
+    """``net``'s forward rows as reference_adjacency builds them."""
+    return reference_adjacency(list(net._index.values()), *net._columns())
+
+
+def tuple_rows(rows: Rows) -> list[list[tuple[int, float]]]:
+    """CSR rows (first, to, eta) as one list of (id, efficiency) steps per id."""
+    first, to, eta = rows
+    return [list(zip(to[a:b], eta[a:b])) for a, b in zip(first, first[1:])]

@@ -199,9 +199,9 @@ def _count_sweeps(monkeypatch) -> list[int]:
     """The source of every sweep guaranteed_min_all_pairs runs from now on."""
     sources = []
 
-    def counted(adj, source, target, sign):
+    def counted(rows, source, target, sign):
         sources.append(source)
-        return _product_sweep(adj, source, target, sign)
+        return _product_sweep(rows, source, target, sign)
 
     monkeypatch.setattr(effchain.guarantee, "_product_sweep", counted)
     return sources
@@ -233,7 +233,7 @@ def test_unreachable_pair_after_a_full_first_sweep_matches_full_sweep(monkeypatc
         sources.clear()
         got = _level_or_unreachable(guaranteed_min_all_pairs, net)
         assert got == _level_or_unreachable(_all_pairs_full_sweep, net)
-        first_reaches_all = len(_product_sweep(net._out, 0, None, 1)[0]) == len(net.nodes)
+        first_reaches_all = len(_product_sweep(net._out_rows(), 0, None, 1)[2]) == len(net.nodes)
         if got[0] == "unreachable" and first_reaches_all:
             assert len(sources) <= 3
             shortcuts += 1

@@ -13,6 +13,7 @@ from effchain import (
     EfficiencyOutOfRange,
     ParseError,
     SelfLoop,
+    best_chain_multiplicative,
     build_network,
     parse_network,
     read_network,
@@ -291,12 +292,12 @@ def test_read_network_closes_the_file_on_every_error(tmp_path, data, error):
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
-def test_read_network_peaks_well_under_twice_what_the_network_keeps(tmp_path):
+def test_read_network_peak_and_searched_network_per_arc(tmp_path):
     # 5k nodes and 25k arcs: a path through every node plus random arcs,
-    # about a fifth of them undirected.  The streaming load peaks at ~1.3
-    # times what the network keeps.  Keeping the duplicate check's dicts
-    # alive while the adjacency is built reads ~2.0; holding the text
-    # whole, one string per label occurrence and those dicts reads ~2.6.
+    # about a fifth of them undirected.  Per arc, the streaming load peaks
+    # at ~162 bytes and the network keeps ~40 until its first search
+    # builds the CSR search index, ~92 after.  Building per-node lists of
+    # (id, efficiency) tuples on every load reads ~199 and ~157.
     rng = random.Random(609)
     n, m = 5000, 25000
     names = [f"n{i:05d}" for i in range(n)]
@@ -316,8 +317,11 @@ def test_read_network_peaks_well_under_twice_what_the_network_keeps(tmp_path):
     tracemalloc.start()
     try:
         net = read_network(path)
-        kept, peak = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
+        assert best_chain_multiplicative(net, names[0], names[-1]) is not None
+        kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(net.nodes) == n and len(net._effs) == m
-    assert peak <= 1.6 * kept
+    assert peak <= 180 * m
+    assert kept <= 110 * m

@@ -26,7 +26,15 @@ from effchain import (
     to_dot,
     validate_label,
 )
-from helpers import random_mixed_network
+from helpers import (
+    random_connected_undirected,
+    random_directed_network,
+    random_mixed_network,
+    reference_reversed_rows,
+    reference_rows,
+    sparse_undirected,
+    tuple_rows,
+)
 
 
 def test_build_sorts_nodes_and_arcs():
@@ -273,23 +281,65 @@ def test_network_equality_and_hash():
 
 def test_queries_levels_and_rendering_build_no_arcs():
     # Only a read of net.arcs builds the Arc tuple; on a 50k-node network
-    # every other caller would otherwise pay for 100k Arcs.
+    # every other caller would otherwise pay for 100k Arcs.  Only a search
+    # or step lookup builds the search rows: rendering, classifying and
+    # the tree level read the columns alone.
     net = parse_network(
         "a,b,0.9,undir\nb,c,0.8,undir\nc,a,0.5,undir\nc,d,0.7,undir\n"
     )
+    directed = parse_network("a,b,0.9\nb,c,0.8\nc,a,0.7\n")
+    level = guaranteed_min_by_tree(net)
+    for loaded in (net, directed):
+        render_network(loaded)
+        to_dot(loaded)
+        classify(loaded)
+        is_connected(loaded)
+    assert is_connected(as_symmetric(net))
+    for loaded in (net, directed, level.tree):
+        assert loaded._forward is None and loaded._backward is None
     for route in (best_chain_multiplicative, best_chain_via_lossiness):
         for tie in ("low", "high"):
             assert route(net, "a", "d", tie_break=tie) is not None
     assert guaranteed_min_all_pairs(net).worst_pair is not None
-    level = guaranteed_min_by_tree(net)
-    render_network(net)
-    to_dot(net)
-    classify(net)
-    assert is_connected(as_symmetric(net))
-    directed = parse_network("a,b,0.9\nb,c,0.8\nc,a,0.7\n")
     assert guaranteed_min_all_pairs(directed).value == pytest.approx(0.56)
     for loaded in (net, directed, level.tree):
         assert loaded._arcs is None
+    # Built on first search and kept; a symmetric network's backward
+    # sweeps reuse its forward rows.
+    assert net._out_rows() is net._out_rows() is net._in_rows()
+    assert net._backward is None
+    assert directed._in_rows() is directed._in_rows() is directed._backward
+    assert directed._in_rows() != directed._out_rows()
     assert level.tree.arcs
     assert net.arcs[0] == Arc("a", "b", 0.9, undirected=True)
     assert net.arcs is net.arcs  # built once, then kept
+
+
+def test_search_rows_equal_the_reference_rows():
+    """Every node's forward row equals the tuple-row reference in content
+    and order, and its backward row the reference rows reversed arc by
+    arc, on directed, symmetric, mixed and tie-heavy networks."""
+    rng = random.Random(1014)
+    makers = [
+        lambda: random_directed_network(rng, max_nodes=12),
+        lambda: random_connected_undirected(rng, max_nodes=12),
+        lambda: random_mixed_network(rng, max_nodes=12),
+        lambda: random_mixed_network(rng, max_nodes=12, draw=lambda: rng.choice((0.5, 1.0))),
+    ]
+    nets = [makers[i % len(makers)]() for i in range(800)]
+    nets.append(sparse_undirected(rng, 600))
+    nets.append(random_mixed_network(rng, max_nodes=26))
+    for net in nets:
+        want = reference_rows(net)
+        assert tuple_rows(net._out_rows()) == want
+        assert tuple_rows(net._in_rows()) == reference_reversed_rows(want)
+        # Neighbour ids are the index's own ints, and a link's two steps
+        # share one float.
+        ids = list(net._index.values())
+        first, to, eta = net._out_rows()
+        assert all(v is ids[v] for v in to)
+        for t, h, undirected in zip(net._tails, net._heads, net._undirected):
+            if undirected:
+                there = first[t] + to[first[t]:first[t + 1]].index(h)
+                back = first[h] + to[first[h]:first[h + 1]].index(t)
+                assert eta[there] is eta[back]

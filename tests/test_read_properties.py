@@ -67,7 +67,7 @@ def _outcome(load, source):
         net = load(source)
     except EffchainError as exc:
         return ("error", type(exc), str(exc), exc.line, exc.pair)
-    return ("ok", net, net._out)
+    return ("ok", net, net._out_rows())
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -17,12 +17,13 @@ from effchain import (
     to_lossiness,
 )
 from effchain.algebra import Lossiness
-from effchain.routing import _lossiness_sweep, _product_sweep
+from effchain.routing import _lossiness_sweep, _product_sweep, _reached
 from helpers import (
     random_directed_network,
     random_mixed_network,
     reference_lossiness_sweep,
     reference_product_sweep,
+    reference_rows,
     underflow_path,
 )
 from oracle import brute_best_chain
@@ -178,8 +179,10 @@ def test_lossiness_route_matches_product_route():
 
 
 def test_kernels_match_the_settled_set_reference():
-    """Without a settled set, both kernels give the reference's weights
-    (values and insertion order), pred and settle order."""
+    """Without a settled set, on the CSR index with id-indexed state, both
+    kernels give the reference's weights (values and insertion order),
+    pred and settle order.  Every value the list state holds beyond the
+    reached ones is the unreached value."""
     rng = random.Random(1013)
     draws = [
         lambda: 1.0 - rng.random(),
@@ -190,22 +193,27 @@ def test_kernels_match_the_settled_set_reference():
     for i in range(5000):
         net = random_mixed_network(rng, max_nodes=16, draw=draws[i % len(draws)])
         n = len(net.nodes)
+        rows, ref_rows = net._out_rows(), reference_rows(net)
         source = rng.randrange(n)
         base = rng.choice((2.0, math.e, 10.0))
         for target in (None, rng.randrange(n)):
             for sign in (1, -1):
                 runs = [
                     (
-                        _product_sweep(net._out, source, target, sign),
-                        reference_product_sweep(net._out, source, target, sign),
+                        _product_sweep(rows, source, target, sign),
+                        reference_product_sweep(ref_rows, source, target, sign),
+                        0.0,
                     ),
                     (
-                        _lossiness_sweep(net._out, source, target, base, sign),
+                        _lossiness_sweep(rows, source, target, base, sign),
                         reference_lossiness_sweep(net, source, target, base, sign),
+                        math.inf,
                     ),
                 ]
-                for (value, pred, order), (ref_value, ref_pred, ref_order) in runs:
-                    assert list(value.items()) == list(ref_value.items())
+                for (value, pred, order), (ref_value, ref_pred, ref_order), unset in runs:
+                    reached = _reached(value, pred, source)
+                    assert list(reached.items()) == list(ref_value.items())
+                    assert all(x == unset for v, x in enumerate(value) if v not in reached)
                     assert list(pred.items()) == list(ref_pred.items())
                     assert order == ref_order
 
