@@ -362,7 +362,7 @@ def _build_network(
     The duplicate and conflict checks key on ``low_id << 32 | high_id``,
     and ids are remapped to label order once at the end, so the per-arc
     loop builds no tuple and compares no labels.  The dicts of that check
-    are freed before the sort keys and the adjacency are built.
+    are freed before the sort keys and the canonical columns are built.
     """
     # The first arc on each unordered pair, keyed low_id << 32 | high_id,
     # and the second where a pair holds two opposite directed arcs.

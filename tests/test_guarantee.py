@@ -354,7 +354,7 @@ def test_tree_paths_respect_the_full_product_bound():
 
 def test_tree_is_the_network_of_its_own_arcs():
     # The tree is cut from its network's columns; build_network of its
-    # arcs must give the same Network, adjacency included.
+    # arcs must give the same Network, search rows included.
     rng = random.Random(606)
     for _ in range(100):
         net = random_connected_undirected(rng, max_nodes=8)
@@ -363,6 +363,7 @@ def test_tree_is_the_network_of_its_own_arcs():
         raws = [(a.tail, a.head, a.efficiency, a.undirected) for a in tree.arcs]
         rebuilt = build_network(raws)
         assert tree == rebuilt
+        assert tree._out_rows() == rebuilt._out_rows()
         assert tree.nodes == net.nodes
         assert len(tree.arcs) == len(net.nodes) - 1
         assert all(a.undirected for a in tree.arcs)
