@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .algebra import to_lossiness
+from .algebra import _check_base, to_lossiness
 from .errors import (
     EffchainError,
     NotConnected,
@@ -27,6 +27,8 @@ from .routing import best_chain_multiplicative, best_chain_via_lossiness
 
 
 def _cmd_best_chain(args) -> int:
+    # --json reports the lossiness in this base on either route.
+    _check_base(args.base)
     net = read_network(args.file)
     if args.method == "lossiness":
         chain = best_chain_via_lossiness(

@@ -11,9 +11,10 @@ Two routes to a floor on chain efficiency:
   pairs, exact.  Each full search from a node bounds every other node's
   eccentricity (the efficiency of its worst best chain), so only the few
   sources that can still hold the worst pair are searched, not all n.
-  Once a search leaves a node unreached or finds a subnormal level, the
-  bounds no longer hold, and the remaining sources are searched in node
-  order until the first unreachable pair or the last source.  A node
+  Once a search leaves a node unreached or finds a subnormal level, every
+  node falls back to the trivial bounds, 0 and 1, and the same rule (least
+  upper bound first) takes the remaining sources in node order until the
+  first unreachable pair or the last source.  A node
   that reaches everything but is not reached from everywhere names the
   first unreachable pair in one more search.  Its backward searches walk
   the rows of steps entering each node, which the network builds from
@@ -33,7 +34,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import NotConnected, SomePairUnreachable
-from .network import Network, _DisjointSet, as_symmetric
+from .network import Network, _union_find, as_symmetric
 from .routing import Chain, _chain_nodes, _product_sweep, best_chain_multiplicative
 
 # A node is pruned once the lower bound on its eccentricity clears the best
@@ -51,10 +52,11 @@ class GuaranteedLevel:
     The tree route carries the tree itself, as a Network; the exact route
     carries the worst ordered pair and its best chain as a witness.
     ``sweeps`` counts the forward and backward searches the level ran (0
-    for the tree).  Past an unreached node or a subnormal level each
-    remaining source costs one forward search, so a level that is
-    subnormal from its first search costs n.  A pair that no chain joins
-    costs at most three when the first source reaches every node.
+    for the tree).  Past an unreached node or a subnormal level only the
+    trivial bounds hold, so the remaining sources go in node order at one
+    forward search each: a level subnormal from its first search costs n.
+    A pair no chain joins costs at most three when the first source
+    reaches every node.
     """
 
     value: float
@@ -80,11 +82,11 @@ def max_product_spanning_tree(net: Network) -> Network:
     """
     nodes = as_symmetric(net).nodes
     tails, heads, effs = net._tails, net._heads, net._effs
-    dsu = _DisjointSet(len(nodes))
+    join = _union_find(len(nodes))
     chosen: list[int] = []
     # Arc indices, most efficient first; reverse=True keeps the sort stable.
     for i in sorted(range(len(effs)), key=effs.__getitem__, reverse=True):
-        if dsu.union(tails[i], heads[i]):
+        if join(tails[i], heads[i]):
             chosen.append(i)
             if len(chosen) == len(nodes) - 1:
                 break
@@ -139,13 +141,13 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
     (BoundingDiameters on symmetric networks, SumSweep's forward and
     backward bounds on directed ones, both in product form).  Once a sweep
     leaves a node unreached, or finds an eccentricity below the smallest
-    normal float, the bounds no longer hold: from then on it sweeps the
-    remaining sources forward only, in node order.  One case ends sooner:
-    when a source reaches every node but its backward sweep misses some,
-    the first node missed is the first source with an unreached target,
-    and one forward sweep from it names that target.  Raises
-    SomePairUnreachable naming the first ordered pair that no chain joins.
-    A single-node network has no pairs and is certified at level 1.
+    normal float, every node falls back to the trivial bounds, under which
+    the same rule sweeps the remaining sources forward, in node order.  One
+    case ends sooner: when a source reaches every node but its backward
+    sweep misses some, the first node missed is the first source with an
+    unreached target, and one forward sweep from it names that target.
+    Raises SomePairUnreachable naming the first ordered pair that no chain
+    joins.  A single-node network has no pairs and is certified at level 1.
     """
     nodes = net.nodes
     n = len(nodes)
@@ -171,7 +173,7 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
         if len(order) < n:
             miss = (source, weight.index(0.0))
         ecc = min(map(weight.__getitem__, order))
-        if ecc < best_value or (ecc == best_value and source < best_source):
+        if (ecc, source) < (best_value, best_source):
             best_value, best_source, best_weight, best_pred = ecc, source, weight, pred
         # A subnormal weight has lost relative precision, so it bounds nothing.
         bounded = bounded and len(order) == n and ecc >= sys.float_info.min
@@ -196,26 +198,23 @@ def guaranteed_min_all_pairs(net: Network) -> GuaranteedLevel:
                 if len(reached_order) < n:
                     miss = (first, reached.index(0.0))
                     break
-        if not bounded:
-            # From here sources go in node order, so every source below the
-            # next one is swept: once the next lies above the recorded miss,
-            # that miss is the first ordered pair no chain joins.
-            source = swept.index(False) if False in swept else n
-            if source == n or (miss is not None and source > miss[0]):
-                break
-            continue
-        # Through u, v reaches every target t at w(v, u) * w(u, t) or
-        # better, so w(v, u) * ecc(u) <= ecc(v); u is itself one of v's
-        # targets, so ecc(v) <= w(v, u).
-        for v in range(n):
-            w = back[v]
-            lower[v] = max(lower[v], w * ecc)
-            upper[v] = min(upper[v], w)
+        if bounded:
+            # Through u, v reaches every target t at w(v, u) * w(u, t) or
+            # better, so w(v, u) * ecc(u) <= ecc(v); u is itself one of v's
+            # targets, so ecc(v) <= w(v, u).
+            lower = list(map(max, lower, map(ecc.__mul__, back)))
+            upper = list(map(min, upper, back))
+        else:
+            # The trivial bounds prune nothing (best_value is above 0),
+            # so the smallest unswept id comes next.
+            lower, upper = [0.0] * n, [1.0] * n
         limit = best_value * (1.0 + _PRUNE_MARGIN)
         left = [(upper[v], v) for v in range(n) if not swept[v] and lower[v] < limit]
-        if not left:
+        _, source = min(left, default=(0.0, n))
+        # Past a miss sources go in node order, so once the next lies above
+        # its source, that miss is the first ordered pair no chain joins.
+        if source == n or (miss is not None and source > miss[0]):
             break
-        source = min(left)[1]
     if miss is not None:
         u, v = nodes[miss[0]], nodes[miss[1]]
         raise SomePairUnreachable(f"no chain from {u} to {v}", pair=(u, v))

@@ -30,6 +30,7 @@ the rest of the file has decoded.
 
 from array import array
 from collections.abc import Iterable
+from io import StringIO
 from itertools import chain
 from pathlib import Path
 
@@ -39,9 +40,8 @@ from .network import Network, _build_network
 
 def parse_network(text: str) -> Network:
     """Parse edge-list text into a validated Network."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return _build_network(*_syntax_pass(text.split("\n")))
+    # Universal newlines, as read_network's open() reads a file.
+    return _build_network(*_syntax_pass(StringIO(text, newline=None)))
 
 
 def read_network(path: str | Path) -> Network:
@@ -123,13 +123,13 @@ def _syntax_pass(
 
 def _decode_error(path: str | Path) -> ParseError:
     """The error for a file that is not UTF-8: its first bad byte, on its
-    line, counted with the line ends parse_network uses."""
+    line, counted with the universal newlines read_network uses."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        before = data[: exc.start]
-        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        before = StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
+        line = before.count("\n") + 1
         return ParseError(
             f"not UTF-8 text: {exc.reason} (byte {data[exc.start]:#04x})", line=line
         )

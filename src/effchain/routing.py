@@ -49,20 +49,19 @@ class Chain:
         return len(self.nodes) - 1
 
 
-def _tie_sign(tie_break: TieBreak) -> int:
-    """Heap entries hold (weight key, sign * id); ids follow label order."""
-    if tie_break == "low":
-        return 1
-    if tie_break == "high":
-        return -1
-    raise ValueError(f"tie_break must be 'low' or 'high', got {tie_break!r}")
-
-
-def _node_id(net: Network, label: str) -> int:
+def _ends(
+    net: Network, source: str, target: str | None, tie_break: TieBreak
+) -> tuple[int, int, int | None]:
+    """A search's heap sign and endpoint ids, checked in that order: heap
+    entries hold (weight key, sign * id), and ids follow label order."""
+    if tie_break not in ("low", "high"):
+        raise ValueError(f"tie_break must be 'low' or 'high', got {tie_break!r}")
+    index = net._index
     try:
-        return net._index[label]
-    except KeyError:
-        raise UnknownNode(f"no node {label!r} in network") from None
+        ids = index[source], None if target is None else index[target]
+    except KeyError as exc:
+        raise UnknownNode(f"no node {exc.args[0]!r} in network") from None
+    return 1 if tie_break == "low" else -1, *ids
 
 
 def _product_sweep(
@@ -187,8 +186,7 @@ def multiplicative_search(
     guaranteed-level sweep).  An unknown source or target raises
     UnknownNode.
     """
-    sign, source_id = _tie_sign(tie_break), _node_id(net, source)
-    target_id = None if target is None else _node_id(net, target)
+    sign, source_id, target_id = _ends(net, source, target, tie_break)
     rows = net._out_rows()
     return _labelled(net, source_id, *_product_sweep(rows, source_id, target_id, sign))
 
@@ -208,8 +206,7 @@ def additive_search(
     multiplicative_search.
     """
     _check_base(base)
-    sign, source_id = _tie_sign(tie_break), _node_id(net, source)
-    target_id = None if target is None else _node_id(net, target)
+    sign, source_id, target_id = _ends(net, source, target, tie_break)
     rows = net._out_rows()
     return _labelled(net, source_id, *_lossiness_sweep(rows, source_id, target_id, base, sign))
 
@@ -235,8 +232,7 @@ def best_chain_multiplicative(
     the tie_break rule decides which settles first; the optimum value does
     not depend on that choice.
     """
-    sign = _tie_sign(tie_break)
-    source, target = _node_id(net, a), _node_id(net, z)
+    sign, source, target = _ends(net, a, z, tie_break)
     if source == target:
         return Chain((a,), 1.0)
     weight, pred, _ = _product_sweep(net._out_rows(), source, target, sign)
@@ -257,8 +253,7 @@ def best_chain_via_lossiness(
     wins; it only rescales all lossiness totals by a positive constant.
     """
     _check_base(base)
-    sign = _tie_sign(tie_break)
-    source, target = _node_id(net, a), _node_id(net, z)
+    sign, source, target = _ends(net, a, z, tie_break)
     if source == target:
         return Chain((a,), 1.0)
     _, pred, _ = _lossiness_sweep(net._out_rows(), source, target, base, sign)

@@ -9,7 +9,7 @@ enumeration explode, so a typo in a test cannot silently burn minutes.
 from itertools import combinations
 
 from effchain import Arc, Chain, Network, UnknownNode, as_symmetric
-from effchain.network import _DisjointSet
+from effchain.network import _union_find
 
 MAX_CHAIN_NODES = 12
 MAX_TREE_NODES = 8
@@ -90,8 +90,8 @@ def enumerate_spanning_trees(net: Network) -> list[tuple[Arc, ...]]:
     index = net._index
     trees = []
     for subset in combinations(net.arcs, len(nodes) - 1):
-        dsu = _DisjointSet(len(nodes))
-        if all(dsu.union(index[a.tail], index[a.head]) for a in subset):
+        join = _union_find(len(nodes))
+        if all(join(index[a.tail], index[a.head]) for a in subset):
             trees.append(subset)
     return trees
 

@@ -230,13 +230,18 @@ def test_lossiness_rejects_bad_inputs(capsys):
     assert run_cli(["lossiness", "0.5", "--base", "1"]) == 2
 
 
-def test_nan_base_exits_2(demo_file, capsys):
-    rc = run_cli(
-        ["best-chain", demo_file, "--from", "a", "--to", "z",
-         "--method", "lossiness", "--base", "nan"]
-    )
-    assert rc == 2
-    assert "log base" in capsys.readouterr().err
+def test_nan_base_exits_2(demo_file, tmp_path, capsys):
+    # Refused on either route and output, before the file is read.
+    missing = str(tmp_path / "missing.csv")
+    for path in (demo_file, missing):
+        for method in ("lossiness", "product"):
+            for json_flag in ([], ["--json"]):
+                rc = run_cli(
+                    ["best-chain", path, "--from", "a", "--to", "z",
+                     "--method", method, "--base", "nan", *json_flag]
+                )
+                assert rc == 2
+                assert capsys.readouterr() == ("", "error: log base must exceed 1, got nan\n")
     assert run_cli(["lossiness", "0.5", "--base", "nan"]) == 2
 
 

@@ -166,15 +166,18 @@ def test_bounded_level_sweeps_few_sources():
     assert level.sweeps < len(net.nodes) // 4
 
 
-def test_bounded_level_falls_back_on_a_subnormal_level():
+def test_bounded_level_falls_back_on_a_subnormal_level(monkeypatch):
     # 0.001^103 ~ 1e-309 is subnormal: relative bounds no longer hold, so
-    # after its first sweep the level sweeps every other source once.
+    # after its first sweep the level sweeps every other source once, in
+    # node order.
     names = [f"n{i:03d}" for i in range(104)]
     net = build_network([(u, v, 0.001, True) for u, v in zip(names, names[1:])])
+    sources = _count_sweeps(monkeypatch)
     level = guaranteed_min_all_pairs(net)
     assert 0.0 < level.value < sys.float_info.min
     assert _exact(level) == _exact(_all_pairs_full_sweep(net))
     assert level.sweeps == len(names)
+    assert sources == list(range(len(names)))
 
 
 def test_unreached_pair_is_the_first_in_node_order():
@@ -220,7 +223,8 @@ def test_a_source_that_reaches_nothing_is_named_in_three_sweeps(monkeypatch):
     with pytest.raises(SomePairUnreachable) as info:
         guaranteed_min_all_pairs(net)
     assert info.value.pair == ("zzz", "s00000")
-    assert len(sources) == 3
+    # Forward and backward from s00000, then forward from zzz.
+    assert sources == [0, 0, 1500]
 
 
 def test_unreachable_pair_after_a_full_first_sweep_matches_full_sweep(monkeypatch):
